@@ -6,6 +6,14 @@ operator norms, Cheeger constants, expander certificates, and Lyapunov
 exponent bounds at desk scale.
 """
 
+# SGAP_THREADS caps BLAS/OpenMP threads.  The pools are sized when numpy first
+# loads, so the cap goes in before any submodule imports it.
+import os as _os
+
+if _os.environ.get("SGAP_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["SGAP_THREADS"])
+
 from .errors import (
     BudgetExceededError,
     ConvergenceError,

@@ -79,7 +79,8 @@ def cut_ratio(chain: WeightedChain, subset) -> float:
     src, dst, w = _cut_edges(chain, m_hat)
     cross = float(np.sum(w[mask[src] & ~mask[dst]]))
     ms = float(np.sum(m_hat[mask]))
-    return cross / (ms * (1.0 - ms))
+    ms_c = float(np.sum(m_hat[~mask]))  # not 1 - ms, which tiny masses round to 0
+    return cross / (ms * ms_c)
 
 
 def _mask_to_subset(mask: int, n: int) -> tuple[int, ...]:
@@ -122,7 +123,7 @@ def cheeger_exact(chain: WeightedChain) -> CutReport:
 
     ratios = np.full(size, np.inf)
     proper = (masks != 0) & (masks != size - 1)
-    denom = msum * (1.0 - msum)
+    denom = msum * msum[::-1]  # the complement of mask is size - 1 - mask
     ratios[proper] = cut[proper] / denom[proper]
     h = float(ratios.min())
     minimizers = np.nonzero(ratios == h)[0]

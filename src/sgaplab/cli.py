@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -35,13 +34,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"ERROR:usage:{message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("SGAP_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,7 +206,7 @@ def _run_return_prob(args) -> int:
         "final_root": float(series.roots[-1]),
     }
     csv_lines = ["n,root"] + [
-        f"{i + 1},{series.roots[i]!r}" for i in range(series.n_max)
+        f"{i + 1},{float(series.roots[i])!r}" for i in range(series.n_max)
     ]
     lines = [
         f"return-probability roots via {series.method}",
@@ -250,7 +242,7 @@ def _run_pgl2(args) -> int:
         result["alternating_defect"] = float(
             np.max(np.abs(mc.apply_markov(chain, alternating) + alternating))
         )
-        if chain.n <= 22:
+        if chain.n <= ch.EXACT_ENUMERATION_LIMIT:
             result["cheeger_exact"] = ch.cheeger_exact(chain).h
     payload = _header(args, q=args.q, trunc=args.trunc, mode=args.mode)
     payload["result"] = result
@@ -430,7 +422,6 @@ _RUNNERS = {
 
 
 def run(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

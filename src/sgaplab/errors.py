@@ -26,4 +26,4 @@ class NotReversibleError(SgapError, ValueError):
 
 
 class ConvergenceError(SgapError, RuntimeError):
-    """An iterative solver stopped at its iteration cap without reaching the residual target."""
+    """An iterative solver stopped without reaching its residual target."""

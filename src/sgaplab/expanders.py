@@ -16,19 +16,17 @@ import json
 import math
 from dataclasses import dataclass
 
-from .cheeger import cheeger_exact
+from .cheeger import EXACT_ENUMERATION_LIMIT, cheeger_exact
 from .errors import BudgetExceededError
 from .group_algebra import special_linear_order
-from .markov_core import lambda1, operator_norm_l20
+from .markov_core import lambda1, operator_norm_l20, require_converged
 from .walk_models import (
+    CAYLEY_BUDGET,
     LabeledGraph,
     build_cayley,
     elementary_generators,
     graph_to_simple_walk_chain,
 )
-
-ENUMERATION_BUDGET = 1_000_000
-EXACT_CUT_LIMIT = 22
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,7 @@ class FamilyCertificate:
         return buf.getvalue()
 
 
-def build_member_graph(n: int, p: int, max_size: int = ENUMERATION_BUDGET) -> LabeledGraph:
+def build_member_graph(n: int, p: int, max_size: int = CAYLEY_BUDGET) -> LabeledGraph:
     order = special_linear_order(n, p)
     if order > max_size:
         raise BudgetExceededError(
@@ -132,14 +130,15 @@ def build_family(n: int, primes) -> FamilyCertificate:
     for p in sorted(set(int(q) for q in primes)):
         graph = build_member_graph(n, p)
         chain = graph_to_simple_walk_chain(graph)
-        lam = lambda1(chain).estimate
-        norm0 = operator_norm_l20(chain).estimate
+        lam_report = require_converged(lambda1(chain))
+        lam = lam_report.estimate
+        norm0 = require_converged(operator_norm_l20(chain)).estimate
         bound = 0.5 * (1.0 - norm0) ** 2
         k = graph.n_generators
         h_lower = lam / 2.0
         h_upper = math.sqrt(8.0 * lam)
         h_exact = (
-            cheeger_exact(chain).h if graph.n_vertices <= EXACT_CUT_LIMIT else None
+            cheeger_exact(chain).h if graph.n_vertices <= EXACT_ENUMERATION_LIMIT else None
         )
         records.append(
             MemberRecord(
@@ -154,7 +153,7 @@ def build_family(n: int, primes) -> FamilyCertificate:
                 h_edge_lower=k * h_lower / 2.0,
                 h_edge_upper=k * h_upper,
                 h_exact=h_exact,
-                method="dense" if graph.n_vertices <= 512 else "power_deflated",
+                method=lam_report.method,
             )
         )
     return FamilyCertificate(n=n, members=tuple(records))

@@ -9,13 +9,13 @@ D = diag(m), which is symmetric exactly when the chain is reversible.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DisconnectedChainError, NotReversibleError
 
@@ -23,7 +23,6 @@ ROW_SUM_TOL = 1e-12
 REVERSIBILITY_TOL = 1e-12
 DENSE_LIMIT = 512
 ITER_RESIDUAL_TOL = 1e-10
-ITER_MAX = 100_000
 
 
 class WeightedChain:
@@ -114,6 +113,10 @@ class WeightedChain:
 class SpectralReport:
     """Eigenvalue/norm estimate with convergence diagnostics.
 
+    `method` "dense" is a full eigendecomposition (iterations 1, residual 0);
+    "lanczos" is ARPACK on the constants-deflated kernel, with iterations the
+    operator products and residual that of the Ritz pair behind the estimate.
+
     For sup-type quantities (operator norms) `certified_lower` is a Rayleigh
     quotient and therefore a true lower bound on the target.  For the gap
     lambda_1 the estimate itself approaches from above and `certified_lower`
@@ -131,7 +134,7 @@ class SpectralReport:
             raise ValueError("residual must be non-negative")
         if self.certified_lower > self.estimate + self.residual:
             raise ValueError("certified_lower exceeds estimate + residual")
-        if self.method not in ("dense", "power_deflated", "lanczos"):
+        if self.method not in ("dense", "lanczos"):
             raise ValueError(f"unknown method {self.method!r}")
 
     def to_json_dict(self) -> dict:
@@ -241,74 +244,56 @@ def chain_spectrum(chain: WeightedChain) -> tuple[np.ndarray, np.ndarray]:
     return theta, funcs
 
 
-def _deterministic_start(n: int, exclude_unit: np.ndarray) -> np.ndarray:
-    """Fixed start vector with a component in every eigenspace orthogonal to
-    `exclude_unit` (generic enough in practice, and reproducible)."""
-    v = np.cos(np.arange(1, n + 1) * 0.7) + 0.1
-    v -= (exclude_unit @ v) * exclude_unit
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-12:
-        v = np.zeros(n)
-        v[0], v[-1] = 1.0, -1.0
-        v -= (exclude_unit @ v) * exclude_unit
-        nrm = np.linalg.norm(v)
-    return v / nrm
+def extremal_eigs(
+    op: sp.spmatrix,
+    which: str,
+    k: int,
+    v0: np.ndarray,
+    deflate: np.ndarray | None = None,
+    *,
+    stage: str,
+    vectors: bool = True,
+) -> tuple[float, np.ndarray | None, float | None, int]:
+    """(value, unit Ritz vector, residual ||A x - value x||, operator products)
+    from ARPACK `eigsh` for k Ritz values of the symmetric `op`, `which` in
+    "LA" (value is the largest) or "LM", "BE" (value has the largest modulus).
 
+    `deflate`, a unit eigenvector of `op` with eigenvalue 1, is shifted to 0,
+    or below the spectrum [-1, 1] for "LA".  Without `vectors`, vector and
+    residual are None and ARPACK keeps the Ritz values it converged to.
+    """
+    n = op.shape[0]
+    shift = 3.0 if which == "LA" else 1.0
+    products = 0
 
-def _power_second_largest(
-    s: sp.csr_matrix, unit: np.ndarray
-) -> tuple[float, np.ndarray, int, float]:
-    """Largest eigenvalue of S on the complement of `unit`, for S with
-    spectrum in [-1, 1]: power iteration on (S + I)/2 with the unit direction
-    projected away every step."""
-    n = s.shape[0]
-    v = _deterministic_start(n, unit)
-    theta = 0.0
-    res = math.inf
-    for it in range(1, ITER_MAX + 1):
-        w = 0.5 * (s @ v + v)
-        w -= (unit @ w) * unit
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0, v, it, 0.0
-        v = w / nrm
-        sv = s @ v
-        theta = float(v @ sv)
-        res = float(np.linalg.norm(sv - theta * v))
-        if res <= ITER_RESIDUAL_TOL:
-            return theta, v, it, res
-    return theta, v, ITER_MAX, res
+    def matvec(x):
+        nonlocal products
+        products += 1
+        x = np.ravel(x)
+        y = op @ x
+        return y if deflate is None else y - (shift * (deflate @ x)) * deflate
 
-
-def _power_max_abs(
-    s: sp.csr_matrix, unit: np.ndarray
-) -> tuple[float, np.ndarray, int, float]:
-    """max |eigenvalue| of S on the complement of `unit`: power iteration on
-    S^2, which is blind to the sign ambiguity of bipartite spectra."""
-    n = s.shape[0]
-    v = _deterministic_start(n, unit)
-    est = 0.0
-    res = math.inf
-    for it in range(1, ITER_MAX + 1):
-        w = s @ (s @ v)
-        w -= (unit @ w) * unit
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0, v, it, 0.0
-        v = w / nrm
-        ssv = s @ (s @ v)
-        lam2 = float(v @ ssv)
-        est = math.sqrt(max(lam2, 0.0))
-        res = float(np.linalg.norm(ssv - lam2 * v))
-        if res <= ITER_RESIDUAL_TOL:
-            return est, v, it, res
-    return est, v, ITER_MAX, res
+    lin = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    try:
+        out = spla.eigsh(lin, k=k, which=which, v0=v0, return_eigenvectors=vectors)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"{stage}: Lanczos (which={which}, k={k}) did not converge on "
+            f"{n} states after {products} products: {exc}"
+        ) from None
+    theta, vecs = out if vectors else (out, None)
+    pick = int(np.argmax(theta if which == "LA" else np.abs(theta)))
+    value = float(theta[pick])
+    if vecs is None:
+        return value, None, None, products
+    x = vecs[:, pick]
+    return value, x, float(np.linalg.norm(matvec(x) - value * x)), products
 
 
 def lambda1(chain: WeightedChain) -> SpectralReport:
     """Smallest non-zero eigenvalue of the Laplacian I - M on the m-orthogonal
-    complement of constants.  Dense solve up to 512 states, deflated power
-    iteration beyond."""
+    complement of constants.  Dense solve up to 512 states, ARPACK Lanczos on
+    the constants-deflated operator beyond."""
     if chain.row_mode != "stochastic":
         raise ValueError("lambda1 needs a stochastic chain")
     _require_connected(chain)
@@ -327,16 +312,14 @@ def lambda1(chain: WeightedChain) -> SpectralReport:
             residual=0.0,
             method="dense",
         )
-    unit = np.sqrt(chain.measure)
-    unit /= np.linalg.norm(unit)
-    theta, _v, its, res = _power_second_largest(chain.symmetrized, unit)
+    theta, _x, res, products = _lanczos(chain, "LA", "lambda1")
     lam = 1.0 - theta
     return SpectralReport(
         estimate=lam,
         certified_lower=max(0.0, lam - res),
-        iterations=its,
+        iterations=products,
         residual=res,
-        method="power_deflated",
+        method="lanczos",
     )
 
 
@@ -359,23 +342,34 @@ def operator_norm_l20(chain: WeightedChain) -> SpectralReport:
             residual=0.0,
             method="dense",
         )
-    unit = np.sqrt(chain.measure)
-    unit /= np.linalg.norm(unit)
-    est, v, its, res = _power_max_abs(chain.symmetrized, unit)
-    certified = float(np.linalg.norm(chain.symmetrized @ v))
+    theta, x, res, products = _lanczos(chain, "LM", "operator_norm_l20")
+    est = abs(theta)
+    certified = float(np.linalg.norm(chain.symmetrized @ x))
     return SpectralReport(
         estimate=est,
         certified_lower=min(certified, est + res),
-        iterations=its,
+        iterations=products,
         residual=res,
-        method="power_deflated",
+        method="lanczos",
     )
 
 
+def _lanczos(chain: WeightedChain, which: str, stage: str):
+    """`extremal_eigs` on the symmetrized kernel with the constants deflated,
+    from a fixed start vector."""
+    unit = np.sqrt(chain.measure)
+    unit /= np.linalg.norm(unit)
+    v0 = np.cos(np.arange(1, chain.n + 1) * 0.7) + 0.1
+    # k = 1: Cayley-graph eigenvalues repeat (at least (p - 1) / 2 times for
+    # SL_2(F_p)), and Lanczos only makes the copies that a larger k waits for
+    # out of rounding.
+    return extremal_eigs(chain.symmetrized, which, 1, v0, deflate=unit, stage=stage)
+
+
 def require_converged(report: SpectralReport) -> SpectralReport:
-    if report.iterations >= ITER_MAX and report.residual > ITER_RESIDUAL_TOL:
+    if report.residual > ITER_RESIDUAL_TOL:
         raise ConvergenceError(
-            f"solver hit {ITER_MAX} iterations with residual {report.residual:.2e}"
+            f"{report.method} residual {report.residual:.2e} exceeds {ITER_RESIDUAL_TOL:.0e}"
         )
     return report
 

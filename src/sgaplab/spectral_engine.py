@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .group_algebra import ProbMeasure
-from .markov_core import WeightedChain, lambda1, operator_norm_l20
+from .markov_core import WeightedChain, extremal_eigs, lambda1, operator_norm_l20
 from .walk_models import LabeledGraph
 
 DENSE_NORM_LIMIT = 400
@@ -92,8 +92,9 @@ def _sparse_norm(a: sp.csr_matrix) -> float:
     v0 = np.ones(n) / math.sqrt(n)
     symmetric = (a != a.T).nnz == 0
     if symmetric:
-        ends = spla.eigsh(a, k=2, which="BE", v0=v0, return_eigenvectors=False)
-        return float(np.max(np.abs(ends)))
+        # values only, so that seeded ladder outputs keep their last bits
+        end = extremal_eigs(a, "BE", 2, v0, stage="compressed_norm", vectors=False)
+        return abs(end[0])
     sigma = spla.svds(a, k=1, v0=v0, return_singular_vectors=False, maxiter=10_000)
     return float(sigma[0])
 

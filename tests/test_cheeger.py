@@ -1,5 +1,8 @@
 """Cheeger constants, the two-sided gap bound, and the area / co-area sums."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,20 @@ def barbell_chain() -> sg.WeightedChain:
         trans.append((i, j, 1.0 / deg[i]))
         trans.append((j, i, 1.0 / deg[j]))
     return sg.WeightedChain([str(i) for i in range(10)], deg, trans)
+
+
+def exact_cut_ratio(chain: sg.WeightedChain, subset) -> Fraction:
+    """h at one subset in exact rational arithmetic on the chain's floats."""
+    m = [Fraction(x) for x in chain.measure.tolist()]
+    inside = set(subset)
+    edges = zip(chain.src.tolist(), chain.dst.tolist(), chain.prob.tolist())
+    cross = sum(
+        (m[i] * Fraction(p) for i, j, p in edges if i in inside and j not in inside),
+        Fraction(0),
+    )
+    ms = sum(m[i] for i in inside)
+    total = sum(m)
+    return cross * total / (ms * (total - ms))
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +90,19 @@ def test_exact_halfline_q2_truncated():
     chain = sg.build_pgl2_halfline(sg.HalfLineSpec(q=2, length=12, mode="lumped"))
     report = sg.cheeger_exact(chain)
     assert report.h >= sg.pgl2_cheeger_bound(2) - 0.02
+
+
+def test_exact_halfline_tiny_masses_match_exact_arithmetic():
+    # masses reach 7^-11, so 1 - m(S) loses most of its digits
+    chain = sg.build_pgl2_halfline(sg.HalfLineSpec(q=7, length=11, mode="lumped"))
+    report = sg.cheeger_exact(chain)
+    n = chain.n
+    want = min(
+        exact_cut_ratio(chain, subset)
+        for k in range(1, n)
+        for subset in combinations(range(n), k)
+    )
+    assert report.h == pytest.approx(float(want), rel=1e-12)
 
 
 def test_exact_invariant_under_relabeling(rng):
@@ -118,6 +148,19 @@ def test_sweep_upper_bounds_exact(rng):
         exact = sg.cheeger_exact(chain).h
         swept = sg.cheeger_sweep(chain).h
         assert swept >= exact - 1e-12
+
+
+def test_sweep_halfline_length_60_matches_exact_arithmetic():
+    # masses reach 2^-60, where 1 - m(S) rounds to 0
+    chain = sg.build_pgl2_halfline(sg.HalfLineSpec(q=2, length=60, mode="lumped"))
+    report = sg.cheeger_sweep(chain)
+    # a birth-death chain has a monotone second eigenvector, so the sweep
+    # cuts are the initial segments
+    want = min(exact_cut_ratio(chain, range(k)) for k in range(1, chain.n))
+    assert report.h == pytest.approx(float(want), rel=1e-12)
+    assert report.h == pytest.approx(
+        float(exact_cut_ratio(chain, report.argmin_subset)), rel=1e-12
+    )
 
 
 def test_sweep_separates_barbell_blocks():

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, error prefixes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -147,6 +148,31 @@ def test_return_prob_measure_file(tmp_path):
     blob = json.loads(proc.stdout)
     assert blob["result"]["method"] == "radial_tree"
     assert blob["result"]["monotone"] is True
+
+
+def test_return_prob_csv_roots_are_plain_floats(tmp_path):
+    out = tmp_path / "roots.csv"
+    argv = ["return-prob", "--preset", "free-symmetric", "--n-max", "40",
+            "--format", "csv", "--no-timestamp", "--output", str(out)]
+    assert cli.run(argv) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert rows[0] == ["n", "root"] and len(rows) == 41
+    roots = [float(root) for _n, root in rows[1:]]
+    assert all(0.0 < r < 1.0 for r in roots)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_sgap_threads_caps_blas_threads():
+    env = dict(os.environ, SGAP_THREADS="1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sgaplab; print(len(os.listdir('/proc/self/task')))"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def test_run_config_echoed_in_header():

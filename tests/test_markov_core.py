@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 import sgaplab as sg
-from sgaplab.errors import DisconnectedChainError, NotReversibleError
+from sgaplab import markov_core
+from sgaplab.errors import ConvergenceError, DisconnectedChainError, NotReversibleError
 from sgaplab.markov_core import (
-    _power_max_abs,
-    _power_second_largest,
+    ITER_RESIDUAL_TOL,
+    _lanczos,
     chain_from_json,
     chain_to_json,
     dirichlet_form,
     m_inner,
+    require_converged,
 )
 
 from conftest import (
@@ -79,8 +81,9 @@ def test_lambda1_complete_graph():
 
 
 def test_lambda1_cycles_match_circulant_formula():
-    for n in (3, 4, 5, 8, 12):
-        lam = sg.lambda1(cycle_chain(n)).estimate
+    # 600 states take the Lanczos path, where the gap is 5.5e-5
+    for n in (3, 4, 5, 8, 12, 600):
+        lam = require_converged(sg.lambda1(cycle_chain(n))).estimate
         assert lam == pytest.approx(1.0 - np.cos(2 * np.pi / n), abs=1e-10)
 
 
@@ -114,16 +117,37 @@ def test_disconnected_chain_error_names_pair():
 
 
 def test_dense_and_iterative_paths_agree(rng):
-    for _ in range(12):
-        chain = random_reversible_chain(rng, n_states=int(rng.integers(8, 65)))
+    chains = [
+        random_reversible_chain(rng, n_states=int(rng.integers(8, 65)))
+        for _ in range(12)
+    ]
+    # K_9: the non-trivial spectrum is all negative (-1/8, eight times);
+    # the 10-cycle is bipartite with bottom eigenvalue -1
+    chains += [complete_graph_chain(9), cycle_chain(10)]
+    for chain in chains:
         theta, _funcs = sg.chain_spectrum(chain)
-        unit = np.sqrt(chain.measure / chain.measure.sum())
-        s = chain.symmetrized
-        got_theta, _v, _its, _res = _power_second_largest(s, unit)
-        assert got_theta == pytest.approx(float(theta[1]), abs=1e-8)
-        got_abs, _v, _its, _res = _power_max_abs(s, unit)
+        top, _x, res, _products = _lanczos(chain, "LA", "test")
+        assert top == pytest.approx(float(theta[1]), abs=1e-8)
+        assert res <= ITER_RESIDUAL_TOL
+        widest, _x, res, _products = _lanczos(chain, "LM", "test")
         want = max(abs(float(theta[1])), abs(float(theta[-1])))
-        assert got_abs == pytest.approx(want, abs=1e-8)
+        assert abs(widest) == pytest.approx(want, abs=1e-8)
+        assert res <= ITER_RESIDUAL_TOL
+
+
+def test_lanczos_failures_raise_convergence_error(monkeypatch):
+    def stall(*_args, **_kwargs):
+        raise markov_core.spla.ArpackNoConvergence("No convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(markov_core.spla, "eigsh", stall)
+    with pytest.raises(ConvergenceError) as err:
+        sg.lambda1(cycle_chain(600))
+    assert "lambda1" in str(err.value) and "600 states" in str(err.value)
+    loose = sg.SpectralReport(
+        estimate=0.5, certified_lower=0.4, iterations=80, residual=1e-8, method="lanczos"
+    )
+    with pytest.raises(ConvergenceError):
+        require_converged(loose)
 
 
 def test_rayleigh_identity_dirichlet_form(rng):
