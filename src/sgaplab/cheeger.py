@@ -87,11 +87,30 @@ def _mask_to_subset(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if (mask >> i) & 1)
 
 
+def _subset_sums(values: np.ndarray) -> np.ndarray:
+    """Entry i is the sum of values[k] over the set bits k of i."""
+    sums = np.zeros(1)
+    for x in values.tolist():
+        sums = np.concatenate((sums, sums + x))
+    return sums
+
+
 def cheeger_exact(chain: WeightedChain) -> CutReport:
     """Exact Cheeger constant by enumeration of all proper non-empty subsets.
 
-    Capped at 22 states (2^22 subsets); ties break toward the
-    lexicographically smallest index set.
+    Capped at 22 states (2^22 subsets).  By reversibility S and its
+    complement have the same cut and the same ratio, so only the sets that
+    contain state 0 are evaluated, each standing for its complement as well;
+    `subset_count_examined` counts both, 2^n - 2.  Ties break toward the
+    lexicographically smallest index set, which always contains state 0, so
+    rounding cannot pick the complement of the minimizer.
+
+    The cut of every set is built in O(2^n) total work, one state at a time:
+    when state b joins the states below it, a set without b gains the flow
+    from its members into b, and a set with b gains the flow from b to the
+    states below b outside it.  Both are subset sums over the states below
+    b, and every step only adds non-negative terms, so masses far below the
+    float resolution of 1 keep their relative accuracy.
     """
     require_reversible(chain)
     _require_connected(chain)
@@ -104,30 +123,24 @@ def cheeger_exact(chain: WeightedChain) -> CutReport:
             f"{EXACT_ENUMERATION_LIMIT}; use cheeger_sweep"
         )
     m_hat = _normalized_measure(chain)
-    size = 1 << n
-
-    # m(S) for every bitmask, one vectorized pass per lowest set bit; high
-    # bits first so each mask's remainder is already filled in.
-    msum = np.zeros(size)
-    for b in range(n - 1, -1, -1):
-        block = np.arange(0, size, 1 << (b + 1), dtype=np.int64)
-        msum[block | (1 << b)] = msum[block] + m_hat[b]
+    # Index i stands for S = {0} + {k + 1 : bit k of i}; its complement is
+    # the set of states 1..n-1 with index 2^(n-1) - 1 - i.
+    rest = _subset_sums(m_hat[1:])  # m(S) - m(0)
 
     src, dst, w = _cut_edges(chain, m_hat)
-    masks = np.arange(size, dtype=np.int64)
-    cut = np.zeros(size)
-    for i, j, weight in zip(src.tolist(), dst.tolist(), w.tolist()):
-        inside_i = (masks >> i) & 1
-        inside_j = (masks >> j) & 1
-        cut += weight * (inside_i & (1 - inside_j))
+    flow = np.zeros((n, n))
+    flow[src, dst] = w
+    cut = np.zeros(1)
+    for b in range(1, n):
+        into_b = flow[0, b] + _subset_sums(flow[1:b, b])
+        out_of_b = _subset_sums(flow[b, 1:b])[::-1]
+        cut = np.concatenate((cut + into_b, cut + out_of_b))
 
-    ratios = np.full(size, np.inf)
-    proper = (masks != 0) & (masks != size - 1)
-    denom = msum * msum[::-1]  # the complement of mask is size - 1 - mask
-    ratios[proper] = cut[proper] / denom[proper]
+    # the last index is S = every state
+    ratios = cut[:-1] / ((rest[:-1] + m_hat[0]) * rest[:0:-1])
     h = float(ratios.min())
     minimizers = np.nonzero(ratios == h)[0]
-    best = min(_mask_to_subset(int(mk), n) for mk in minimizers)
+    best = min(_mask_to_subset(2 * int(i) + 1, n) for i in minimizers)
 
     recomputed = cut_ratio(chain, best)
     if abs(recomputed - h) > RECOMPUTE_TOL:
@@ -138,7 +151,7 @@ def cheeger_exact(chain: WeightedChain) -> CutReport:
         h=h,
         argmin_subset=best,
         method="exact_enumeration",
-        subset_count_examined=size - 2,
+        subset_count_examined=(1 << n) - 2,
     )
 
 

@@ -514,30 +514,57 @@ def _birth_death_log_returns(
     rate rho = hold + 2 sqrt(p q), which keeps them polynomially sized, so
     arbitrarily deep series never underflow.  Returns log a at multiples of
     `record_stride`.
+
+    Both series are algebraic, so each coefficient costs O(1).  In tilted
+    units the discriminant of the phi quadratic is Delta = (1 - z)(1 - c z)
+    with c = 2h - 1, and s = sqrt(Delta) obeys the three-term recurrence
+    (k + 1) s_{k+1} = (1 + c)(k - 1/2) s_k - c (k - 2) s_{k-1}, which is
+    stable forward.  Then phi_k = -s_{k+1} / (2p) for k >= 1, and with
+    alpha = u0 / (2p) and A = (1 - alpha) + (alpha h - h0) z,
+    1 - H = A + alpha s, so D R = A - alpha s with D = A^2 - alpha^2 Delta of
+    degree 2.  Dividing by D forward amplifies errors by 1/|zeta| per step,
+    zeta a root of D: that is harmless when the roots lie on or outside the
+    unit circle (every lazy-line walk, and the radial walk of rank 1).  The
+    radial walk of rank N >= 2 has both roots at +-sqrt(2N - 1)/N, inside the
+    disk; there the same relation runs backward (Miller's method) from zeros
+    at `steps` + pad, where pad steps shrink the starting error by e^-40.
     """
     rho = p_hold + 2.0 * math.sqrt(p_up * p_down)
-    q = p_down / rho
     h = p_hold / rho
     p = p_up / rho
     h0 = hold0 / rho
     u0 = (1.0 - hold0) / rho
+    c = 2.0 * h - 1.0
+    alpha = u0 / (2.0 * p)
+    a0 = 1.0 - alpha
+    a1 = alpha * h - h0
+    d0 = a0 * a0 - alpha * alpha
+    d1 = 2.0 * a0 * a1 + alpha * alpha * (1.0 + c)
+    d2 = a1 * a1 - alpha * alpha * c
 
-    phi = np.zeros(steps + 1)
-    if steps >= 1:
-        phi[1] = q
-    for t in range(2, steps + 1):
-        acc = h * phi[t - 1]
-        if t >= 3:
-            acc += p * float(np.dot(phi[1 : t - 1], phi[t - 2 : 0 : -1]))
-        phi[t] = acc
+    roots = np.roots([d2, d1, d0])
+    widest = float(np.max(np.abs(roots))) if roots.size else math.inf
+    backward = widest < 1.0 - 1e-9
+    terms = steps + 1 + (math.ceil(40.0 / -math.log(widest)) if backward else 0)
 
-    ret = np.zeros(steps + 1)
-    ret[0] = 1.0
-    for t in range(1, steps + 1):
-        acc = h0 * ret[t - 1]
-        if t >= 2:
-            acc += u0 * float(np.dot(phi[1:t], ret[t - 2 :: -1]))
-        ret[t] = acc
+    s = [0.0] * terms  # steps >= 1, so terms >= 2
+    s[0] = 1.0
+    s[1] = -(1.0 + c) / 2.0
+    for k in range(1, terms - 1):
+        s[k + 1] = ((1.0 + c) * (k - 0.5) * s[k] - c * (k - 2) * s[k - 1]) / (k + 1)
+    rhs = [-alpha * x for x in s]  # coefficients of A - alpha s
+    rhs[0] += a0
+    rhs[1] += a1
+
+    ret = [0.0] * terms
+    if backward:
+        for k in range(terms - 1, 1, -1):
+            ret[k - 2] = (rhs[k] - d0 * ret[k] - d1 * ret[k - 1]) / d2
+    else:
+        prev = prev2 = 0.0
+        for k in range(terms):
+            prev, prev2 = (rhs[k] - d1 * prev - d2 * prev2) / d0, prev
+            ret[k] = prev
 
     log_rho = math.log(rho)
     out = []
@@ -583,8 +610,10 @@ def spectral_radius_return(
     r_{n_max} is a certified lower bound on the norm of the averaging
     operator of mu on l2 of the group, and the r_n converge to that norm.
     Radial and one-dimensional reductions keep the cost linear in n_max for
-    the free-generator and two-point cases; anything else falls back to
-    direct convolution powers under a work budget.
+    the free-generator and two-point cases: both reduce to a birth-death
+    chain whose return series satisfies a recurrence of fixed order, so
+    each term costs O(1).  Anything else falls back to direct convolution
+    powers under a work budget.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

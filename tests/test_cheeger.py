@@ -1,10 +1,13 @@
 """Cheeger constants, the two-sided gap bound, and the area / co-area sums."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sgaplab as sg
 from sgaplab.cheeger import cut_ratio
@@ -51,6 +54,70 @@ def exact_cut_ratio(chain: sg.WeightedChain, subset) -> Fraction:
     ms = sum(m[i] for i in inside)
     total = sum(m)
     return cross * total / (ms * (total - ms))
+
+
+def scaled_measure(chain: sg.WeightedChain, factor: float) -> sg.WeightedChain:
+    return sg.WeightedChain(
+        chain.states,
+        chain.measure * factor,
+        list(zip(chain.src.tolist(), chain.dst.tolist(), chain.prob.tolist())),
+    )
+
+
+def exact_minimizer(chain: sg.WeightedChain) -> tuple[Fraction, tuple[int, ...]]:
+    """(min h, the lexicographically smallest subset attaining it) over every
+    proper non-empty subset, in exact rational arithmetic on the chain's
+    floats."""
+    m = [Fraction(x) for x in chain.measure.tolist()]
+    flows = [
+        (i, j, m[i] * Fraction(p))
+        for i, j, p in zip(chain.src.tolist(), chain.dst.tolist(), chain.prob.tolist())
+        if i != j
+    ]
+    scale = math.lcm(*(x.denominator for x in m), *(f.denominator for *_, f in flows))
+    mass = [int(x * scale) for x in m]
+    flow = [(i, j, int(f * scale)) for i, j, f in flows]
+    total = sum(mass)
+    n = chain.n
+    best = None
+    for k in range(1, n):
+        for subset in combinations(range(n), k):  # lexicographic order
+            inside = set(subset)
+            cut = sum(f for i, j, f in flow if i in inside and j not in inside)
+            ms = sum(mass[i] for i in inside)
+            ratio = Fraction(cut * total, ms * (total - ms))
+            if best is None or ratio < best[0] or (ratio == best[0] and subset < best[1]):
+                best = (ratio, subset)
+    return best
+
+
+@st.composite
+def dyadic_chains(draw) -> sg.WeightedChain:
+    """Connected reversible chains on 2..10 states whose masses are powers of
+    two summing to 2^14 and whose flows m(i) p(i, j) are integers, so every
+    mass, probability, flow and cut is exact in floats and equal exact
+    ratios round to equal floats."""
+    n = draw(st.integers(2, 10))
+    masses = [1 << 14]
+    while len(masses) < n:  # split one part in half; parts stay >= 2^5
+        i = draw(st.integers(0, len(masses) - 1))
+        half = masses.pop(i) // 2
+        masses[i:i] = [half, half]
+    masses = draw(st.permutations(masses))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in pairs]
+    if extra:
+        pairs |= set(draw(st.lists(st.sampled_from(extra), unique=True)))
+    trans = []
+    out = [0] * n
+    for i, j in sorted(pairs):
+        # at most n - 1 edges of at most min(m) / n each leave room for a loop
+        f = draw(st.integers(1, min(masses[i], masses[j]) // n))
+        trans += [(i, j, f / masses[i]), (j, i, f / masses[j])]
+        out[i] += f
+        out[j] += f
+    trans += [(i, i, (masses[i] - out[i]) / masses[i]) for i in range(n)]
+    return sg.WeightedChain([str(i) for i in range(n)], [float(x) for x in masses], trans)
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +191,42 @@ def test_exact_invariant_under_relabeling(rng):
 def test_exact_invariant_under_measure_scaling(rng):
     chain = random_reversible_chain(rng, n_states=8)
     h0 = sg.cheeger_exact(chain).h
-    scaled = sg.WeightedChain(
-        chain.states,
-        chain.measure * 37.5,
-        list(zip(chain.src.tolist(), chain.dst.tolist(), chain.prob.tolist())),
-    )
+    scaled = scaled_measure(chain, 37.5)
     assert sg.cheeger_exact(scaled).h == pytest.approx(h0, abs=1e-12)
+
+
+def test_exact_argmin_does_not_flip_to_complement_under_rescaling():
+    # S and S^c have the same exact ratio; once float rounding picked
+    # between them, and rescaling the measure moved the pick.
+    chain = random_reversible_chain(np.random.default_rng(0), n_states=5, allow_loops=False)
+    picks = {sg.cheeger_exact(scaled_measure(chain, f)).argmin_subset for f in (1.0, 3.0, 7.0)}
+    assert picks == {(0, 1, 4)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dyadic_chains())
+def test_exact_matches_rational_enumeration_on_dyadic_chains(chain):
+    want_h, want_subset = exact_minimizer(chain)
+    report = sg.cheeger_exact(chain)
+    assert report.h == pytest.approx(float(want_h), rel=1e-12)
+    assert report.argmin_subset == want_subset
+    assert report.subset_count_examined == 2**chain.n - 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 10), st.integers(0, 2**32 - 1))
+def test_exact_matches_rational_enumeration_on_float_chains(n, seed):
+    # float flows break the S / S^c symmetry by an ulp, so only the value
+    # and the optimality of the reported subset are compared
+    chain = random_reversible_chain(np.random.default_rng(seed), n_states=n)
+    want_h, _subset = exact_minimizer(chain)
+    report = sg.cheeger_exact(chain)
+    assert report.h == pytest.approx(float(want_h), rel=1e-12)
+    assert float(exact_cut_ratio(chain, report.argmin_subset)) == pytest.approx(
+        float(want_h), rel=1e-12
+    )
+    assert report.argmin_subset[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sgaplab as sg
+from sgaplab import group_algebra as ga
 from sgaplab.errors import (
     BudgetExceededError,
     UnsupportedVariantError,
@@ -229,6 +230,87 @@ def test_integers_and_nonsymmetric_free_measures_degenerate_to_one():
     ab_series = sg.spectral_radius_return(ab, 5000)
     assert ab_series.roots[-1] >= 0.99
     assert ab_series.method == "lazy_line"
+
+
+def _convolution_log_returns(
+    p_up: float, p_down: float, p_hold: float, hold0: float, steps: int, record_stride: int
+) -> np.ndarray:
+    """The O(steps^2) reference for `_birth_death_log_returns`: the same
+    tilted first-return decomposition, with phi and R = 1 / (1 - H) expanded
+    by convolving their coefficients term by term."""
+    rho = p_hold + 2.0 * math.sqrt(p_up * p_down)
+    q = p_down / rho
+    h = p_hold / rho
+    p = p_up / rho
+    h0 = hold0 / rho
+    u0 = (1.0 - hold0) / rho
+
+    phi = np.zeros(steps + 1)
+    if steps >= 1:
+        phi[1] = q
+    for t in range(2, steps + 1):
+        acc = h * phi[t - 1]
+        if t >= 3:
+            acc += p * float(np.dot(phi[1 : t - 1], phi[t - 2 : 0 : -1]))
+        phi[t] = acc
+
+    ret = np.zeros(steps + 1)
+    ret[0] = 1.0
+    for t in range(1, steps + 1):
+        acc = h0 * ret[t - 1]
+        if t >= 2:
+            acc += u0 * float(np.dot(phi[1:t], ret[t - 2 :: -1]))
+        ret[t] = acc
+
+    log_rho = math.log(rho)
+    return np.array(
+        [math.log(ret[t]) + t * log_rho for t in range(record_stride, steps + 1, record_stride)]
+    )
+
+
+def _assert_series_close(logs: np.ndarray, want_logs: np.ndarray) -> None:
+    n = np.arange(1, want_logs.size + 1)
+    assert logs.shape == want_logs.shape
+    assert np.max(np.abs(logs - want_logs)) <= 1e-10
+    roots, want_roots = np.exp(logs / (2.0 * n)), np.exp(want_logs / (2.0 * n))
+    assert np.max(np.abs(roots - want_roots) / want_roots) <= 1e-12
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_radial_recurrence_matches_convolution_reference(rank):
+    # rank >= 2 runs the backward recurrence, rank 1 the forward one
+    series = sg.spectral_radius_return(free_uniform_measure(rank), 5000)
+    assert series.method == "radial_tree"
+    two_n = 2.0 * rank
+    want = _convolution_log_returns((two_n - 1.0) / two_n, 1.0 / two_n, 0.0, 0.0, 10_000, 2)
+    _assert_series_close(series.log_values, want)
+
+
+@pytest.mark.parametrize("hold", [0.02, 0.5, 0.98])
+def test_lazy_line_recurrence_matches_convolution_reference(hold):
+    step = (1.0 - hold) / 2.0
+    logs = ga._lazy_line_log_returns(hold, step, 5000)
+    _assert_series_close(logs, _convolution_log_returns(step, step, hold, hold, 5000, 1))
+
+
+@pytest.mark.parametrize(
+    "mu, n_max",
+    [
+        (free_uniform_measure(1), 6),
+        # nu^5 of the rank-2 walk already has 88,573 support points
+        (free_uniform_measure(2), 4),
+        (sg.ProbMeasure.uniform([sg.free_word(2, [1]), sg.free_word(2, [2])]), 6),
+        (sg.ProbMeasure([(sg.free_word(2, [1]), 0.9), (sg.free_word(2, [2]), 0.1)]), 6),
+    ],
+)
+def test_series_matches_convolution_powers(mu, n_max):
+    nu = sg.convolve(mu.reversed_measure(), mu)
+    e = sg.free_word(mu.family[1], [])
+    series = sg.spectral_radius_return(mu, n_max)
+    assert series.method in ("radial_tree", "lazy_line")
+    for n in range(1, n_max + 1):
+        want = sg.convolution_power(nu, n).weight_of(e)
+        assert series.values[n - 1] == pytest.approx(want, rel=1e-12)
 
 
 def test_point_mass_series_is_constant_one():

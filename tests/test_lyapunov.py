@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sgaplab as sg
+from sgaplab import lyapunov
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,50 @@ def test_seeded_runs_bitwise_reproducible():
     assert a.ci_half_width == b.ci_half_width
     c = sg.estimate_lyapunov(mm, 200, 20, 43)
     assert c.point_estimate != a.point_estimate
+
+
+def _scalar_trial_values(measure, n_steps: int, n_trials: int, seed: int) -> np.ndarray:
+    """Reference: one trial at a time, one Python step per factor."""
+    mats = measure.matrices
+    d = measure.dim
+    sqrt_d = math.sqrt(d)
+    vals = np.empty(n_trials)
+    for t in range(n_trials):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), t]))
+        idx = rng.choice(mats.shape[0], size=n_steps, p=measure.weights)
+        prod = np.eye(d)
+        log_acc = 0.0
+        for i in idx:
+            prod = mats[i] @ prod
+            scale = math.sqrt(float(np.sum(prod * prod))) / sqrt_d
+            prod /= scale
+            log_acc += math.log(scale)
+        vals[t] = (log_acc + math.log(float(np.linalg.norm(prod, 2)))) / n_steps
+    return vals
+
+
+@pytest.mark.parametrize("n_trials", [1, 7, 40])
+def test_batched_estimate_matches_scalar_loop(n_trials):
+    mm = sg.sanov_matrix_measure()
+    want = _scalar_trial_values(mm, 300, n_trials, 19)
+    est = sg.estimate_lyapunov(mm, 300, n_trials, 19)
+    # n_trials = 1 is trial 0 of the scalar loop on its own
+    assert est.point_estimate == pytest.approx(float(np.mean(want)), abs=1e-13)
+
+
+def test_trial_values_do_not_depend_on_batching(monkeypatch):
+    rng = np.random.default_rng(5)
+    mm = sg.MatrixMeasure(rng.normal(size=(3, 3, 3)), np.array([0.2, 0.3, 0.5]))
+    alone = lyapunov._trial_growths(mm, 250, 8, range(1))[0]
+    assert lyapunov._trial_growths(mm, 250, 8, range(40))[0] == alone
+    assert alone == pytest.approx(_scalar_trial_values(mm, 250, 1, 8)[0], abs=1e-13)
+    whole = sg.estimate_lyapunov(mm, 250, 40, 8)
+    monkeypatch.setattr(lyapunov, "INDEX_BLOCK_ENTRIES", 3 * 250)  # blocks of 3 trials
+    blocked = sg.estimate_lyapunov(mm, 250, 40, 8)
+    assert (blocked.point_estimate, blocked.ci_half_width) == (
+        whole.point_estimate,
+        whole.ci_half_width,
+    )
 
 
 def test_sanov_estimate_beats_spectral_bound():
