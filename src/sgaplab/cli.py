@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from typing import Callable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,11 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
 # emitters
 # ---------------------------------------------------------------------------
 
-def _emit(payload: dict, csv_text: str, text_lines: list[str], args) -> None:
+def _emit(payload: dict, csv_text: Callable[[], str], text_lines: list[str], args) -> None:
+    """Write the run in the chosen format; the CSV body is rendered only
+    when it is asked for."""
     if args.format == "json":
         body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
-        body = csv_text
+        body = csv_text()
     else:
         body = "\n".join(text_lines) + "\n"
     if args.output:
@@ -125,6 +128,10 @@ def _emit(payload: dict, csv_text: str, text_lines: list[str], args) -> None:
             fh.write(body)
     else:
         sys.stdout.write(body)
+
+
+def _key_value_csv(result: dict) -> str:
+    return "key,value\n" + "\n".join(f"{k},{v!r}" for k, v in result.items()) + "\n"
 
 
 def _header(args, **params) -> dict:
@@ -168,7 +175,7 @@ def _run_tree_norm(args) -> int:
         f"compressed norm = {ladder.norms[-1]:.9f}",
         f"walk operator norm (infinite tree) = {limit:.9f}",
     ]
-    _emit(payload, ladder.to_csv(), lines, args)
+    _emit(payload, ladder.to_csv, lines, args)
     return EXIT_OK
 
 
@@ -205,14 +212,16 @@ def _run_return_prob(args) -> int:
         "monotone": bool((series.roots[1:] >= series.roots[:-1]).all()),
         "final_root": float(series.roots[-1]),
     }
-    csv_lines = ["n,root"] + [
-        f"{i + 1},{float(series.roots[i])!r}" for i in range(series.n_max)
-    ]
     lines = [
         f"return-probability roots via {series.method}",
         f"r_{series.n_max} = {series.roots[-1]:.9f} (certified lower bound on the operator norm)",
     ]
-    _emit(payload, "\n".join(csv_lines) + "\n", lines, args)
+
+    def csv_text() -> str:
+        rows = [f"{i + 1},{float(series.roots[i])!r}" for i in range(series.n_max)]
+        return "\n".join(["n,root"] + rows) + "\n"
+
+    _emit(payload, csv_text, lines, args)
     return EXIT_OK
 
 
@@ -246,9 +255,8 @@ def _run_pgl2(args) -> int:
             result["cheeger_exact"] = ch.cheeger_exact(chain).h
     payload = _header(args, q=args.q, trunc=args.trunc, mode=args.mode)
     payload["result"] = result
-    csv_text = "key,value\n" + "\n".join(f"{k},{v!r}" for k, v in result.items()) + "\n"
     lines = [f"{k} = {v}" for k, v in result.items()]
-    _emit(payload, csv_text, lines, args)
+    _emit(payload, lambda: _key_value_csv(result), lines, args)
     return EXIT_OK
 
 
@@ -261,12 +269,11 @@ def _run_cheeger(args) -> int:
     report = ch.cheeger_sweep(chain) if args.sweep else ch.cheeger_exact(chain)
     payload = _header(args, input=args.input, exact=not args.sweep)
     payload["result"] = report.to_json_dict()
-    csv_text = "h,method\n" + f"{report.h!r},{report.method}\n"
     lines = [
         f"h = {report.h:.9f} ({report.method})",
         f"argmin subset = {list(report.argmin_subset)}",
     ]
-    _emit(payload, csv_text, lines, args)
+    _emit(payload, lambda: f"h,method\n{report.h!r},{report.method}\n", lines, args)
     return EXIT_OK
 
 
@@ -290,8 +297,7 @@ def _run_cayley(args) -> int:
     }
     payload = _header(args, n=args.n, p=args.p)
     payload["result"] = result
-    csv_text = "key,value\n" + "\n".join(f"{k},{v!r}" for k, v in result.items()) + "\n"
-    _emit(payload, csv_text, [f"{k} = {v}" for k, v in result.items()], args)
+    _emit(payload, lambda: _key_value_csv(result), [f"{k} = {v}" for k, v in result.items()], args)
     return EXIT_OK
 
 
@@ -323,7 +329,7 @@ def _run_torus(args) -> int:
         f"orbit ball: {graph.n_vertices} vertices (sup-norm radius {args.radius})",
         f"ladder supremum = {ladder.supremum:.9f} (ceiling 0.866025...)",
     ]
-    _emit(payload, ladder.to_csv(), lines, args)
+    _emit(payload, ladder.to_csv, lines, args)
     return EXIT_OK
 
 
@@ -355,9 +361,8 @@ def _run_bernoulli(args) -> int:
         "compressed_norm": norm,
         "ceiling": (2 * args.rank - 1) ** 0.5 / args.rank,
     }
-    csv_text = f"radius,norm\n{args.radius},{norm!r}\n"
     lines = [f"orbit vertices = {graph.n_vertices}", f"compressed norm = {norm:.9f}"]
-    _emit(payload, csv_text, lines, args)
+    _emit(payload, lambda: f"radius,norm\n{args.radius},{norm!r}\n", lines, args)
     return EXIT_OK
 
 
@@ -376,7 +381,7 @@ def _run_expanders(args) -> int:
         f"p={r.prime}: order {r.order}, lambda_1 {r.lambda_1:.6f}, bound {r.gap_bound:.6f}"
         for r in cert.members
     ]
-    _emit(payload, cert.to_csv(), lines, args)
+    _emit(payload, cert.to_csv, lines, args)
     return EXIT_OK
 
 
@@ -394,9 +399,6 @@ def _run_lyapunov(args) -> int:
         "u_over_n": u_over_n,
         "spectral_bound": bound,
     }
-    csv_lines = ["n,u_over_n"] + [f"{i + 1},{x!r}" for i, x in enumerate(u_over_n)]
-    csv_lines.append(f"mc@{args.n_steps},{estimate.point_estimate!r}")
-    csv_lines.append(f"bound,{bound!r}")
     lines = ["n   u_n / n"]
     lines += [f"{i + 1:<3d} {x:.9f}" for i, x in enumerate(u_over_n)]
     lines.append(
@@ -404,7 +406,14 @@ def _run_lyapunov(args) -> int:
         f"(ci half-width {estimate.ci_half_width:.6f})"
     )
     lines.append(f"spectral lower bound: {bound:.6f}")
-    _emit(payload, "\n".join(csv_lines) + "\n", lines, args)
+
+    def csv_text() -> str:
+        rows = ["n,u_over_n"] + [f"{i + 1},{x!r}" for i, x in enumerate(u_over_n)]
+        rows.append(f"mc@{args.n_steps},{estimate.point_estimate!r}")
+        rows.append(f"bound,{bound!r}")
+        return "\n".join(rows) + "\n"
+
+    _emit(payload, csv_text, lines, args)
     return EXIT_OK
 
 

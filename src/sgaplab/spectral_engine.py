@@ -4,7 +4,14 @@ the tensor-power norm inequality, and the expander eigenvalue bound.
 
 Compressions restrict the averaging operator to vertices within a graph
 distance of the basepoint, so every value is a certified lower bound on the
-full operator norm and is non-decreasing in the radius.
+full operator norm and is non-decreasing in the radius.  A compression of a
+symmetric probability measure is symmetric and non-negative, so its norm is
+its Perron eigenvalue: one Lanczos Ritz value above DENSE_NORM_LIMIT rows.
+
+A ladder assembles the operator once, for its largest radius, with rows in
+order of distance from the basepoint; each smaller ball is then a leading
+principal block, and each solve starts from the Perron vector of the ball
+before it.
 """
 
 from __future__ import annotations
@@ -26,6 +33,10 @@ from .walk_models import LabeledGraph
 DENSE_NORM_LIMIT = 400
 TENSOR_DIM_CAP = 4096
 UNITARY_TOL = 1e-10
+# Start-vector entry on a ladder's new sphere: far below the entries of the
+# previous unit Perron vector.  Pads of 1e-3 to 1e-2 took 55-65 % more
+# Lanczos products on the torus ladder than 1e-12.
+WARM_START_PAD = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -81,28 +92,52 @@ def compressed_operator(
     )
 
 
-def _sparse_norm(a: sp.csr_matrix) -> float:
+def _sparse_norm(
+    a: sp.csr_matrix,
+    v0: np.ndarray | None = None,
+    *,
+    symmetric: bool | None = None,
+    vectors: bool = False,
+) -> tuple[float, np.ndarray | None]:
+    """(norm, Perron vector) of a compression; the vector is None unless
+    `vectors` is set and the symmetric Lanczos path ran.
+
+    A symmetric compression of a probability measure is entrywise
+    non-negative, so its norm is its largest eigenvalue (Perron-Frobenius)
+    and one "LA" Ritz value from `v0` (default: the unit constant vector)
+    finds it.  `symmetric`, when known, saves the check.
+    """
     n = a.shape[0]
     if n == 0:
         raise ValueError("empty compression")
+    if a.nnz == 0:
+        return 0.0, None
     if n <= DENSE_NORM_LIMIT:
-        if a.nnz == 0:
-            return 0.0
-        return float(np.linalg.norm(a.toarray(), 2))
-    v0 = np.ones(n) / math.sqrt(n)
-    symmetric = (a != a.T).nnz == 0
+        return float(np.linalg.norm(a.toarray(), 2)), None
+    if v0 is None:
+        v0 = np.ones(n) / math.sqrt(n)
+    if symmetric is None:
+        symmetric = (a != a.T).nnz == 0
     if symmetric:
-        # values only, so that seeded ladder outputs keep their last bits
-        end = extremal_eigs(a, "BE", 2, v0, stage="compressed_norm", vectors=False)
-        return abs(end[0])
+        value, x, _res, _products = extremal_eigs(
+            a, "LA", 1, v0, stage="compressed_norm", vectors=vectors
+        )
+        return value, x
     sigma = spla.svds(a, k=1, v0=v0, return_singular_vectors=False, maxiter=10_000)
-    return float(sigma[0])
+    return float(sigma[0]), None
 
 
 def compressed_norm(graph: LabeledGraph, mu: ProbMeasure, radius: int) -> float:
     """Norm of the ball compression; a certified lower bound on the norm of
     the averaging operator on the whole (possibly infinite) graph."""
-    return _sparse_norm(compressed_operator(graph, mu, radius))
+    return _sparse_norm(compressed_operator(graph, mu, radius))[0]
+
+
+def _require_increasing(radii: Sequence[int]) -> None:
+    if not radii:
+        raise ValueError("radii must be non-empty")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -116,10 +151,9 @@ class CompressionLadder:
     claim_tag: str | None = None
 
     def __post_init__(self):
-        if len(self.radii) != len(self.norms) or not self.radii:
-            raise ValueError("radii and norms must be non-empty and equal length")
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("radii must be strictly increasing")
+        if len(self.radii) != len(self.norms):
+            raise ValueError("radii and norms must have equal length")
+        _require_increasing(self.radii)
         for a, b in zip(self.norms, self.norms[1:]):
             if b < a - 1e-12:
                 raise ValueError("norms must be non-decreasing along nested radii")
@@ -147,8 +181,39 @@ def compression_ladder(
     limit_claim: float | None = None,
     claim_tag: str | None = None,
 ) -> CompressionLadder:
-    norms = tuple(compressed_norm(graph, mu, r) for r in radii)
-    return CompressionLadder(tuple(int(r) for r in radii), norms, limit_claim, claim_tag)
+    """Compressed norms of the balls of the given strictly increasing radii.
+
+    The operator is assembled once, for the largest radius, with its rows
+    ordered by distance from the basepoint, so every smaller ball is a
+    leading principal block of it.  Each Lanczos solve starts from the
+    Perron vector of the previous radius, padded on the new sphere.
+    """
+    radii = tuple(int(r) for r in radii)
+    _require_increasing(radii)
+    if radii[0] < 0:
+        raise ValueError("radius must be >= 0")
+    full = compressed_operator(graph, mu, radii[-1])
+    dist = graph.distances_from_basepoint
+    dist = dist[(dist >= 0) & (dist <= radii[-1])]
+    if np.any(dist[1:] < dist[:-1]):
+        order = np.argsort(dist, kind="stable")
+        full = full[order][:, order]
+        dist = dist[order]
+    sizes = np.searchsorted(dist, radii, side="right")
+    symmetric = (full != full.T).nnz == 0
+    norms = []
+    x = None
+    for i, n_r in enumerate(sizes):
+        last = i == len(sizes) - 1
+        v0 = None
+        if x is not None:
+            v0 = np.full(n_r, WARM_START_PAD)
+            v0[: x.size] = np.abs(x)
+        norm, x = _sparse_norm(
+            full if last else full[:n_r, :n_r], v0, symmetric=symmetric, vectors=not last
+        )
+        norms.append(norm)
+    return CompressionLadder(radii, tuple(norms), limit_claim, claim_tag)
 
 
 # ---------------------------------------------------------------------------

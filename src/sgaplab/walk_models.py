@@ -91,19 +91,18 @@ class LabeledGraph:
         dist[self.basepoint] = 0
         if self.edge_src.size == 0:
             return dist
+        # boolean entries add by "or", so parallel edges cannot overflow a count
         adj = sp.csr_matrix(
-            (np.ones(self.edge_src.size, dtype=np.int8), (self.edge_dst, self.edge_src)),
+            (np.ones(self.edge_src.size, dtype=bool), (self.edge_dst, self.edge_src)),
             shape=(n, n),
         )
-        frontier = np.zeros(n, dtype=np.int8)
-        frontier[self.basepoint] = 1
+        frontier = np.zeros(n, dtype=bool)
+        frontier[self.basepoint] = True
         d = 0
         while frontier.any():
             d += 1
-            reached = (adj @ frontier) > 0
-            newly = reached & (dist < 0)
-            dist[newly] = d
-            frontier = newly.astype(np.int8)
+            frontier = (adj @ frontier) & (dist < 0)
+            dist[frontier] = d
         return dist
 
     def __repr__(self) -> str:

@@ -78,6 +78,24 @@ def random_cyclic_unitary_rep(p: int, dim: int, rng: np.random.Generator):
     return elems, mats
 
 
+def relabel(graph: sg.LabeledGraph, seed: int) -> sg.LabeledGraph:
+    """The same graph with its vertices renumbered by a seeded permutation,
+    so that vertex order no longer follows distance from the basepoint."""
+    perm = np.random.default_rng(seed).permutation(graph.n_vertices)
+    return sg.LabeledGraph(
+        graph.n_vertices,
+        graph.generators,
+        graph.gen_names,
+        graph.inverse_of,
+        perm[graph.edge_src],
+        perm[graph.edge_dst],
+        graph.edge_gen,
+        perm[graph.stub_src],
+        graph.stub_gen,
+        basepoint=int(perm[graph.basepoint]),
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

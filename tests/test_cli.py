@@ -48,6 +48,19 @@ def test_ladder_csv_output():
     assert len(lines) == 5
 
 
+def test_csv_is_rendered_only_for_csv_format(monkeypatch, tmp_path):
+    def no_csv(self):
+        raise RuntimeError("csv rendered for a non-csv format")
+
+    monkeypatch.setattr(sg.CompressionLadder, "to_csv", no_csv)
+    argv = ["tree-norm", "--degree", "4", "--depth", "3", "--ladder", "--no-timestamp"]
+    for fmt in ("json", "text"):
+        out = str(tmp_path / f"ladder.{fmt}")
+        assert cli.run(argv + ["--format", fmt, "--output", out]) == 0
+    with pytest.raises(RuntimeError):
+        cli.run(argv + ["--format", "csv", "--output", str(tmp_path / "ladder.csv")])
+
+
 def test_unknown_flag_is_usage_error():
     proc = run_cli("tree-norm", "--degree", "4", "--depth", "2", "--frobnicate")
     assert proc.returncode == 1

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgaplab as sg
+from sgaplab import spectral_engine as se
 from sgaplab.spectral_engine import compressed_operator
 
 from conftest import (
     cycle_chain,
     free_uniform_measure,
     random_cyclic_unitary_rep,
+    relabel,
     two_state_swap,
 )
 
@@ -94,6 +98,91 @@ def test_ladder_csv_and_validation():
         sg.CompressionLadder((0, 1), (0.3, 0.1))
     with pytest.raises(ValueError):
         sg.CompressionLadder((0, 1), (0.3, 0.5), limit_claim=0.4)
+
+
+def _torus(radius: int):
+    gens = sg.sanov_generators()
+    return sg.build_torus_schreier(gens, (1, 0), radius), sg.ProbMeasure.uniform(gens)
+
+
+def _ladder_cases():
+    yield "torus r=30", *_torus(30)
+    # balls above DENSE_NORM_LIMIT rows: warm-started Lanczos solves
+    yield "torus r=60", *_torus(60)
+    yield "tree (4, 6)", sg.build_tree(4, 6), free_uniform_measure(2)
+    config = [sg.free_word(2, []), sg.free_word(2, [1])]
+    yield "bernoulli e,a r=4", sg.build_bernoulli_schreier(2, config, 4), free_uniform_measure(2)
+    # vertices renumbered out of distance order: the ladder reorders them
+    yield "relabelled torus r=10", relabel(_torus(10)[0], 7), _torus(10)[1]
+    yield "relabelled tree (4, 6)", relabel(sg.build_tree(4, 6), 8), free_uniform_measure(2)
+
+
+@pytest.mark.parametrize("case", list(_ladder_cases()), ids=lambda c: c[0])
+def test_incremental_ladder_matches_per_radius_norms(case):
+    _name, graph, mu = case
+    radii = list(range(int(graph.distances_from_basepoint.max()) + 1))
+    ladder = sg.compression_ladder(graph, mu, radii)
+    for r, got in zip(radii, ladder.norms):
+        assert got == pytest.approx(sg.compressed_norm(graph, mu, r), rel=1e-12, abs=0.0)
+
+
+def test_relabelled_ladder_matches_the_original():
+    graph, mu = _torus(10)
+    radii = list(range(int(graph.distances_from_basepoint.max()) + 1))
+    want = sg.compression_ladder(graph, mu, radii).norms
+    got = sg.compression_ladder(relabel(graph, 7), mu, radii).norms
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _symmetric_graphs(draw):
+    """A graph on n vertices (some possibly unreachable) carrying k random
+    permutations and their inverses, numbered in no particular order, with a
+    symmetric measure on the 2k generators."""
+    n = draw(st.one_of(st.integers(2, 40), st.integers(se.DENSE_NORM_LIMIT + 1, 900)))
+    k = draw(st.integers(1, 3))
+    src, dst, gen = [], [], []
+    for i in range(k):
+        perm = np.array(draw(st.permutations(range(n))))
+        for g, image in ((2 * i, perm), (2 * i + 1, np.argsort(perm))):
+            src.append(np.arange(n))
+            dst.append(image)
+            gen.append(np.full(n, g))
+    words = [sg.free_word(k, [s]) for i in range(1, k + 1) for s in (i, -i)]
+    graph = sg.LabeledGraph(
+        n, words, [str(w) for w in words], [g ^ 1 for g in range(2 * k)],
+        np.concatenate(src), np.concatenate(dst), np.concatenate(gen),
+        basepoint=draw(st.integers(0, n - 1)),
+    )
+    w = [draw(st.floats(0.1, 1.0)) for _ in range(k)]
+    total = 2.0 * sum(w)
+    mu = sg.ProbMeasure([(words[2 * i + j], w[i] / total) for i in range(k) for j in (0, 1)])
+    return graph, mu
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_symmetric_graphs())
+def test_ladder_norms_never_decrease(case):
+    # Cauchy interlacing: a ball's compression is a principal block of the
+    # next ball's, so its largest eigenvalue cannot be larger
+    graph, mu = case
+    radii = list(range(int(graph.distances_from_basepoint.max()) + 1))
+    norms = sg.compression_ladder(graph, mu, radii).norms
+    for a, b in zip(norms, norms[1:]):
+        assert b >= a - 1e-12
+    assert norms[-1] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("radii", [[], [0, 2, 2], [0, 3, 1], [-1, 0], [0, 1, 99]])
+def test_ladder_rejects_bad_radii_before_any_solve(monkeypatch, radii):
+    graph = sg.build_tree(4, 3)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the radii were checked")
+
+    monkeypatch.setattr(se, "_sparse_norm", no_solve)
+    with pytest.raises(ValueError):
+        sg.compression_ladder(graph, free_uniform_measure(2), radii)
 
 
 # ---------------------------------------------------------------------------

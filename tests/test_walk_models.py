@@ -1,16 +1,21 @@
 """Graph builders: trees, the half-line chain, Cayley and Schreier graphs."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
 import sgaplab as sg
+from sgaplab import expanders as ex
 from sgaplab.errors import BudgetExceededError
 from sgaplab.walk_models import (
+    LabeledGraph,
     dual_action_matrix,
     graph_to_edge_list_text,
     tree_ball_size,
     validate_labeled_graph,
 )
+
+from conftest import relabel
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +274,43 @@ def test_tree_label_of_large_tree_falls_back_to_index():
     graph = sg.build_tree(4, 12)
     assert graph.labels is None
     assert graph.label_of(12345) == "12345"
+
+
+# ---------------------------------------------------------------------------
+# distances from the basepoint
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("parallel", [127, 128, 300])
+def test_distances_survive_many_parallel_edges(parallel):
+    # `parallel` self-inverse generators all join vertex 0 to vertex 1
+    gens = list(range(parallel))
+    graph = LabeledGraph(
+        2, gens, [f"s{g}" for g in gens], gens,
+        edge_src=[0] * parallel + [1] * parallel,
+        edge_dst=[1] * parallel + [0] * parallel,
+        edge_gen=gens + gens,
+    )
+    assert graph.distances_from_basepoint.tolist() == [0, 1]
+
+
+def _bfs_cases():
+    yield "tree (4, 5)", sg.build_tree(4, 5)
+    yield "torus r=12", sg.build_torus_schreier(sg.sanov_generators(), (1, 0), 12)
+    config = [sg.free_word(2, []), sg.free_word(2, [1])]
+    yield "bernoulli e,a r=4", sg.build_bernoulli_schreier(2, config, 4)
+    yield "cayley SL2(F5)", ex.build_member_graph(2, 5)
+    yield "relabelled torus r=12", relabel(
+        sg.build_torus_schreier(sg.sanov_generators(), (1, 0), 12), 3
+    )
+
+
+@pytest.mark.parametrize("case", list(_bfs_cases()), ids=lambda c: c[0])
+def test_distances_match_networkx_bfs(case):
+    _name, graph = case
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(graph.n_vertices))
+    digraph.add_edges_from(zip(graph.edge_src.tolist(), graph.edge_dst.tolist()))
+    want = np.full(graph.n_vertices, -1)
+    for v, d in nx.single_source_shortest_path_length(digraph, graph.basepoint).items():
+        want[v] = d
+    assert graph.distances_from_basepoint.tolist() == want.tolist()
