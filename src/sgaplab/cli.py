@@ -156,10 +156,7 @@ def _run_tree_norm(args) -> int:
         print("ERROR:usage:--degree must be even to carry a free-group measure", file=sys.stderr)
         return EXIT_USAGE
     graph = wm.build_tree(args.degree, args.depth)
-    rank = args.degree // 2
-    mu = ga.ProbMeasure.uniform(
-        [ga.free_word(rank, [s]) for i in range(1, rank + 1) for s in (i, -i)]
-    )
+    mu = ga.ProbMeasure.uniform(ga.free_generators(args.degree // 2))
     radii = list(range(args.depth + 1)) if args.ladder else [args.depth]
     ladder = se.compression_ladder(graph, mu, radii)
     limit = 2.0 * (args.degree - 1) ** 0.5 / args.degree
@@ -183,10 +180,9 @@ def _measure_for_preset(preset: str, rank: int):
     from . import group_algebra as ga
 
     if preset == "free-symmetric":
-        elems = [ga.free_word(rank, [s]) for i in range(1, rank + 1) for s in (i, -i)]
-        return ga.ProbMeasure.uniform(elems)
+        return ga.ProbMeasure.uniform(ga.free_generators(rank))
     if preset == "z":
-        return ga.ProbMeasure.uniform([ga.free_word(1, [1]), ga.free_word(1, [-1])])
+        return ga.ProbMeasure.uniform(ga.free_generators(1))
     if preset == "free-ab":
         return ga.ProbMeasure.uniform([ga.free_word(2, [1]), ga.free_word(2, [2])])
     raise ValueError(f"unknown preset {preset!r}")
@@ -352,8 +348,7 @@ def _run_bernoulli(args) -> int:
                     letters.append(-(ord(chc.lower()) - ord("a") + 1))
             words.append(ga.free_word(args.rank, letters))
     graph = wm.build_bernoulli_schreier(args.rank, words, args.radius)
-    gens = [ga.free_word(args.rank, [s]) for i in range(1, args.rank + 1) for s in (i, -i)]
-    mu = ga.ProbMeasure.uniform(gens)
+    mu = ga.ProbMeasure.uniform(ga.free_generators(args.rank))
     norm = se.compressed_norm(graph, mu, args.radius)
     payload = _header(args, config=names, rank=args.rank, radius=args.radius)
     payload["result"] = {

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 from .cheeger import EXACT_ENUMERATION_LIMIT, cheeger_exact
 from .errors import BudgetExceededError
-from .group_algebra import special_linear_order
+from .group_algebra import CAYLEY_BUDGET, special_linear_order
 from .markov_core import lambda1, operator_norm_l20, require_converged
 from .walk_models import (
-    CAYLEY_BUDGET,
     LabeledGraph,
     build_cayley,
     elementary_generators,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -22,6 +23,10 @@ WEIGHT_SUM_TOL = 1e-12
 # Work cap for direct convolution powers: sum over steps of
 # |support(power)| * |support(nu)| must stay below this.
 DIRECT_CONVOLUTION_BUDGET = 400_000
+
+# Cap on the group elements one enumeration may find: group closures and
+# Cayley graphs.
+CAYLEY_BUDGET = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +72,11 @@ class FreeWord:
 def free_word(rank: int, letters: Iterable[int] = ()) -> FreeWord:
     """Build a FreeWord, reducing the letter sequence first."""
     return FreeWord(rank, _reduce_letters(letters))
+
+
+def free_generators(rank: int) -> list[FreeWord]:
+    """The signed generators a, A, b, B, ... of the free group of rank `rank`."""
+    return [free_word(rank, [s]) for i in range(1, rank + 1) for s in (i, -i)]
 
 
 def _int_rows(entries) -> tuple[tuple[int, ...], ...]:
@@ -671,31 +681,65 @@ def special_linear_order(d: int, p: int) -> int:
     return order
 
 
+def explore_orbit(base, moves, inside=None, max_size=None):
+    """Breadth-first orbit of the hashable point `base` under the maps `moves`.
+
+    Returns (points, edges, stubs): the points in discovery order, so their
+    distance from `base` never decreases along the list; the edges as three
+    parallel lists (sources, targets, move indices) in visit order; and the
+    stubs as two (sources, move indices), one for each move to a new point
+    that fails `inside(point, depth)`, depth being that point's distance
+    from `base`.  Raises BudgetExceededError once more than `max_size`
+    points are found.
+    """
+    index = {base: 0}
+    points = [base]
+    depth = [0]
+    edge_src: list[int] = []
+    edge_dst: list[int] = []
+    edge_move: list[int] = []
+    stub_src: list[int] = []
+    stub_move: list[int] = []
+    head = 0
+    while head < len(points):
+        v = points[head]
+        d = depth[head] + 1
+        for k, move in enumerate(moves):
+            w = move(v)
+            iw = index.get(w)
+            if iw is None:
+                if inside is not None and not inside(w, d):
+                    stub_src.append(head)
+                    stub_move.append(k)
+                    continue
+                iw = len(points)
+                if max_size is not None and iw >= max_size:
+                    raise BudgetExceededError(
+                        f"orbit enumeration exceeded {max_size} points"
+                    )
+                index[w] = iw
+                points.append(w)
+                depth.append(d)
+            edge_src.append(head)
+            edge_dst.append(iw)
+            edge_move.append(k)
+        head += 1
+    return points, (edge_src, edge_dst, edge_move), (stub_src, stub_move)
+
+
 def group_closure(
-    generators: Sequence[GroupElement], max_size: int = 1_000_000
+    generators: Sequence[GroupElement], max_size: int = CAYLEY_BUDGET
 ) -> set[GroupElement]:
     """Subgroup generated by the given elements, via breadth-first closure."""
+    if not generators:
+        raise ValueError("need at least one generator")
     gens = list(generators) + [inverse(g) for g in generators]
-    e = identity_like(generators[0])
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = mul(g, v)
-                if w not in seen:
-                    seen.add(w)
-                    if len(seen) > max_size:
-                        raise BudgetExceededError(
-                            f"group closure exceeded {max_size} elements"
-                        )
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+    moves = [partial(mul, g) for g in gens]
+    points, _edges, _stubs = explore_orbit(identity_like(gens[0]), moves, max_size=max_size)
+    return set(points)
 
 
-def check_adapted(mu: ProbMeasure, max_size: int = 1_000_000) -> bool:
+def check_adapted(mu: ProbMeasure, max_size: int = CAYLEY_BUDGET) -> bool:
     """True iff the support of mu generates the whole ambient group.
 
     Decidable here for the mod-p family (finite closure) and for free-group

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DisconnectedChainError, NotReversibleError
@@ -195,25 +196,13 @@ def dirichlet_form(chain: WeightedChain, f) -> float:
 
 
 def disconnected_pair(chain: WeightedChain) -> tuple[str, str] | None:
-    """A pair of states in different components, or None if irreducible."""
-    n = chain.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in zip(chain.src.tolist(), chain.dst.tolist()):
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    if seen.all():
+    """A pair of states in different components, or None if irreducible:
+    state 0 and the first state outside its weakly connected component."""
+    _count, component = csgraph.connected_components(chain.kernel, connection="weak")
+    outside = np.flatnonzero(component != component[0])
+    if outside.size == 0:
         return None
-    out = int(np.argmin(seen))
-    return chain.states[0], chain.states[out]
+    return chain.states[0], chain.states[int(outside[0])]
 
 
 def _require_connected(chain: WeightedChain) -> None:

@@ -7,12 +7,18 @@ Graphs use left actions throughout: the edge (v -> g.v) carries the label of
 g, and the reverse edge carries the label of g^-1.  Edges that would leave a
 truncated vertex set are recorded as boundary stubs so that compressions of
 the ambient operator stay genuine subspace restrictions.
+
+Cayley and Schreier graphs are orbits of a group action, and one enumeration
+builds them all: `group_algebra.explore_orbit`, given the action of each
+generator as a move and, for truncated orbits, the rule that keeps a point
+inside.  It numbers vertices in breadth-first order, so distance from the
+basepoint never decreases along the vertex index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,11 +26,14 @@ import scipy.sparse as sp
 
 from .errors import BudgetExceededError
 from .group_algebra import (
+    CAYLEY_BUDGET,
     FreeWord,
     GroupElement,
     MatModP,
     MatZ,
     element_label,
+    explore_orbit,
+    free_generators,
     free_word,
     identity_like,
     inverse,
@@ -33,7 +42,6 @@ from .group_algebra import (
 )
 from .markov_core import WeightedChain
 
-CAYLEY_BUDGET = 1_000_000
 TREE_LABEL_LIMIT = 200_000
 
 
@@ -184,11 +192,7 @@ def build_tree(d: int, depth: int, max_vertices: int = 4_000_000) -> LabeledGrap
         raise BudgetExceededError(f"tree ball has {n} vertices, cap is {max_vertices}")
 
     if d % 2 == 0:
-        rank = d // 2
-        gens: list = []
-        for i in range(1, rank + 1):
-            gens.append(free_word(rank, [i]))
-            gens.append(free_word(rank, [-i]))
+        gens: list = free_generators(d // 2)
         inverse_of = [i ^ 1 for i in range(d)]
     else:
         gens = [f"s{i}" for i in range(d)]
@@ -387,6 +391,25 @@ def _check_inverse_closed(generators: Sequence[GroupElement]) -> list[int]:
     return assigned
 
 
+def _orbit_graph(generators, inverse_of, orbit, label) -> LabeledGraph:
+    """The labeled graph of an `explore_orbit` result; vertex i is the i-th
+    point found, labeled by `label(point)`."""
+    points, (edge_src, edge_dst, edge_gen), (stub_src, stub_gen) = orbit
+    return LabeledGraph(
+        n_vertices=len(points),
+        generators=tuple(generators),
+        gen_names=[element_label(g) for g in generators],
+        inverse_of=inverse_of,
+        edge_src=edge_src,
+        edge_dst=edge_dst,
+        edge_gen=edge_gen,
+        stub_src=stub_src,
+        stub_gen=stub_gen,
+        basepoint=0,
+        labels=[label(v) for v in points],
+    )
+
+
 def build_cayley(
     generators: Sequence[GroupElement],
     expect_order: int | None = None,
@@ -397,46 +420,14 @@ def build_cayley(
     if not generators:
         raise ValueError("need at least one generator")
     inverse_of = _check_inverse_closed(generators)
-    e = identity_like(generators[0])
-    index: dict[GroupElement, int] = {e: 0}
-    elems: list[GroupElement] = [e]
-    edge_src: list[int] = []
-    edge_dst: list[int] = []
-    edge_gen: list[int] = []
-    head = 0
-    while head < len(elems):
-        v = elems[head]
-        iv = head
-        head += 1
-        for gi, g in enumerate(generators):
-            w = mul(g, v)
-            iw = index.get(w)
-            if iw is None:
-                iw = len(elems)
-                if iw >= max_size:
-                    raise BudgetExceededError(
-                        f"group enumeration exceeded {max_size} elements"
-                    )
-                index[w] = iw
-                elems.append(w)
-            edge_src.append(iv)
-            edge_dst.append(iw)
-            edge_gen.append(gi)
-    if expect_order is not None and len(elems) != expect_order:
+    moves = [partial(mul, g) for g in generators]
+    orbit = explore_orbit(identity_like(generators[0]), moves, max_size=max_size)
+    order = len(orbit[0])
+    if expect_order is not None and order != expect_order:
         raise ValueError(
-            f"generators produced a group of order {len(elems)}, expected {expect_order}"
+            f"generators produced a group of order {order}, expected {expect_order}"
         )
-    return LabeledGraph(
-        n_vertices=len(elems),
-        generators=tuple(generators),
-        gen_names=[element_label(g) for g in generators],
-        inverse_of=inverse_of,
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        edge_gen=edge_gen,
-        basepoint=0,
-        labels=[element_label(g) for g in elems],
-    )
+    return _orbit_graph(generators, inverse_of, orbit, element_label)
 
 
 # ---------------------------------------------------------------------------
@@ -469,47 +460,18 @@ def build_torus_schreier(
         raise ValueError(
             f"basepoint {base} lies outside the sup-norm ball of radius {radius}"
         )
+    for g in generators:
+        if g.dim != len(base):
+            raise ValueError(
+                f"basepoint {base} has {len(base)} coordinates, but generator "
+                f"{element_label(g)} acts on dimension {g.dim}"
+            )
     inverse_of = _check_inverse_closed(generators)
-    acts = [dual_action_matrix(g) for g in generators]
-    index: dict[tuple[int, ...], int] = {base: 0}
-    verts: list[tuple[int, ...]] = [base]
-    edge_src: list[int] = []
-    edge_dst: list[int] = []
-    edge_gen: list[int] = []
-    stub_src: list[int] = []
-    stub_gen: list[int] = []
-    head = 0
-    while head < len(verts):
-        v = verts[head]
-        iv = head
-        head += 1
-        for gi, rows in enumerate(acts):
-            w = _apply_rows(rows, v)
-            if max(abs(x) for x in w) > radius:
-                stub_src.append(iv)
-                stub_gen.append(gi)
-                continue
-            iw = index.get(w)
-            if iw is None:
-                iw = len(verts)
-                index[w] = iw
-                verts.append(w)
-            edge_src.append(iv)
-            edge_dst.append(iw)
-            edge_gen.append(gi)
-    return LabeledGraph(
-        n_vertices=len(verts),
-        generators=tuple(generators),
-        gen_names=[element_label(g) for g in generators],
-        inverse_of=inverse_of,
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        edge_gen=edge_gen,
-        stub_src=stub_src,
-        stub_gen=stub_gen,
-        basepoint=0,
-        labels=[str(v) for v in verts],
+    moves = [partial(_apply_rows, dual_action_matrix(g)) for g in generators]
+    orbit = explore_orbit(
+        base, moves, inside=lambda w, _depth: max(abs(x) for x in w) <= radius
     )
+    return _orbit_graph(generators, inverse_of, orbit, str)
 
 
 def sanov_generators() -> list[MatZ]:
@@ -517,6 +479,10 @@ def sanov_generators() -> list[MatZ]:
     a = MatZ(((1, 2), (0, 1)))
     b = MatZ(((1, 0), (2, 1)))
     return [a, inverse(a), b, inverse(b)]
+
+
+def _shift(g: FreeWord, config: frozenset[FreeWord]) -> frozenset[FreeWord]:
+    return frozenset(mul(g, x) for x in config)
 
 
 def _config_key(config: frozenset[FreeWord]) -> str:
@@ -538,54 +504,13 @@ def build_bernoulli_schreier(
         raise ValueError("configuration must be a non-empty finite set of words")
     if any(w.rank != rank for w in words):
         raise ValueError("configuration words must match the stated rank")
-    gens: list[FreeWord] = []
-    for i in range(1, rank + 1):
-        gens.append(free_word(rank, [i]))
-        gens.append(free_word(rank, [-i]))
+    gens = free_generators(rank)
     inverse_of = [i ^ 1 for i in range(2 * rank)]
-
-    base = frozenset(words)
-    index: dict[frozenset[FreeWord], int] = {base: 0}
-    verts: list[frozenset[FreeWord]] = [base]
-    depth = {0: 0}
-    edge_src: list[int] = []
-    edge_dst: list[int] = []
-    edge_gen: list[int] = []
-    stub_src: list[int] = []
-    stub_gen: list[int] = []
-    head = 0
-    while head < len(verts):
-        v = verts[head]
-        iv = head
-        head += 1
-        for gi, g in enumerate(gens):
-            w = frozenset(mul(g, x) for x in v)
-            iw = index.get(w)
-            if iw is None:
-                if depth[iv] >= radius:
-                    stub_src.append(iv)
-                    stub_gen.append(gi)
-                    continue
-                iw = len(verts)
-                index[w] = iw
-                verts.append(w)
-                depth[iw] = depth[iv] + 1
-            edge_src.append(iv)
-            edge_dst.append(iw)
-            edge_gen.append(gi)
-    return LabeledGraph(
-        n_vertices=len(verts),
-        generators=tuple(gens),
-        gen_names=[element_label(g) for g in gens],
-        inverse_of=inverse_of,
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        edge_gen=edge_gen,
-        stub_src=stub_src,
-        stub_gen=stub_gen,
-        basepoint=0,
-        labels=[_config_key(v) for v in verts],
+    moves = [partial(_shift, g) for g in gens]
+    orbit = explore_orbit(
+        frozenset(words), moves, inside=lambda _w, depth: depth <= radius
     )
+    return _orbit_graph(gens, inverse_of, orbit, _config_key)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,13 @@ def test_invalid_value_maps_to_exit_one_with_prefix():
     assert proc.stderr.startswith("ERROR:")
 
 
+@pytest.mark.parametrize("basepoint", ["1,0,0", "1"])
+def test_torus_basepoint_of_wrong_dimension_is_invalid(basepoint, capsys):
+    assert cli.run(["torus", "--basepoint", basepoint, "--no-timestamp"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR:invalid:")
+
+
 def test_cheeger_subcommand_reads_chain_json(tmp_path):
     chain = sg.WeightedChain(["0", "1"], [0.5, 0.5], [(0, 1, 1.0), (1, 0, 1.0)])
     path = tmp_path / "chain.json"

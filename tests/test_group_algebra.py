@@ -354,6 +354,37 @@ def test_adapted_elementary_generators_mod_3():
     assert sg.check_adapted(mu) is True
     assert sg.special_linear_order(2, 3) == 24
     assert len(sg.group_closure(sg.elementary_generators(2, 3))) == 24
+    with pytest.raises(ValueError, match="need at least one generator"):
+        sg.group_closure([])
+    with pytest.raises(BudgetExceededError):
+        sg.group_closure(sg.elementary_generators(2, 13), max_size=100)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_closure_of_elementary_generators_is_all_of_sl2(p):
+    brute = {
+        sg.mat_mod_p(p, [[a, b], [c, d]])
+        for a in range(p) for b in range(p) for c in range(p) for d in range(p)
+        if (a * d - b * c) % p == 1
+    }
+    assert sg.group_closure(sg.elementary_generators(2, p)) == brute
+
+
+def test_explore_orbit_points_edges_and_stubs():
+    # the integers under x -> x + 1 and x -> x - 1, kept inside |x| <= 2
+    moves = [lambda x: x + 1, lambda x: x - 1]
+    points, edges, stubs = ga.explore_orbit(0, moves, inside=lambda x, depth: abs(x) <= 2)
+    assert points == [0, 1, -1, 2, -2]
+    assert edges == (
+        [0, 0, 1, 1, 2, 2, 3, 4],
+        [1, 2, 3, 0, 0, 4, 1, 2],
+        [0, 1, 0, 1, 0, 1, 1, 0],
+    )
+    assert stubs == ([3, 4], [0, 1])
+    points, _edges, stubs = ga.explore_orbit(0, moves, inside=lambda x, depth: depth <= 1)
+    assert points == [0, 1, -1] and stubs == ([1, 2], [0, 1])
+    with pytest.raises(BudgetExceededError):
+        ga.explore_orbit(0, moves, max_size=4)
 
 
 def test_adapted_rejects_trivial_support():

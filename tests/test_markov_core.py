@@ -114,6 +114,14 @@ def test_disconnected_chain_error_names_pair():
     with pytest.raises(DisconnectedChainError) as err:
         sg.lambda1(chain)
     assert "left" in str(err.value) and "right" in str(err.value)
+    # states 0 and 1 swap, state 2 sits alone: the pair is (0, 2)
+    chain = sg.WeightedChain(
+        ["a", "b", "c"], [1.0, 1.0, 1.0], [(0, 1, 1.0), (1, 0, 1.0), (2, 2, 1.0)]
+    )
+    with pytest.raises(DisconnectedChainError) as err:
+        sg.operator_norm_l20(chain)
+    assert "'a'" in str(err.value) and "'c'" in str(err.value)
+    assert "'b'" not in str(err.value)
 
 
 def test_dense_and_iterative_paths_agree(rng):

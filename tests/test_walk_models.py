@@ -178,6 +178,9 @@ def test_torus_basepoint_validation():
         sg.build_torus_schreier(sg.sanov_generators(), (0, 0), 5)
     with pytest.raises(ValueError):
         sg.build_torus_schreier(sg.sanov_generators(), (1, 0), 0)
+    for base in ((1, 0, 0), (1,)):
+        with pytest.raises(ValueError, match="coordinates"):
+            sg.build_torus_schreier(sg.sanov_generators(), base, 5)
 
 
 def test_torus_orbit_respects_mod2_congruence():
@@ -302,6 +305,15 @@ def _bfs_cases():
     yield "relabelled torus r=12", relabel(
         sg.build_torus_schreier(sg.sanov_generators(), (1, 0), 12), 3
     )
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in _bfs_cases() if not c[0].startswith("relabelled")], ids=lambda c: c[0]
+)
+def test_builders_number_vertices_in_bfs_order(case):
+    # compression_ladder takes each ball as a leading block because of this
+    _name, graph = case
+    assert np.all(np.diff(graph.distances_from_basepoint) >= 0)
 
 
 @pytest.mark.parametrize("case", list(_bfs_cases()), ids=lambda c: c[0])
