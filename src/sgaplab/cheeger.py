@@ -9,7 +9,6 @@ mu~(i, j) = m(i) p_ij.  The two-sided bound is h^2 / 8 <= lambda_1 <= 2 h.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -42,17 +41,6 @@ class CutReport:
             raise ValueError("argmin subset must be non-empty")
         if self.method not in ("exact_enumeration", "fiedler_sweep"):
             raise ValueError(f"unknown method {self.method!r}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "argmin_subset": list(self.argmin_subset),
-            "method": self.method,
-            "subset_count_examined": self.subset_count_examined,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _normalized_measure(chain: WeightedChain) -> np.ndarray:

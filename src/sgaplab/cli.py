@@ -1,5 +1,8 @@
 """Command-line front end.  One subcommand per worked example; every run
-echoes its resolved configuration and emits json, csv, or text.
+echoes its resolved configuration and emits json, csv, or text.  All three
+come from one renderer, `_emit`: json serializes the result (dataclasses by
+their fields), and every subcommand's csv comes from one table writer (a
+header row, then rows; floats as repr, everything else as a bare string).
 
 Exit codes: 0 success, 1 usage error, 2 numeric non-convergence.  Errors go
 to stderr as one line with an "ERROR:<code>:" prefix.  The environment
@@ -9,10 +12,12 @@ variable SGAP_THREADS caps BLAS/OpenMP parallelism.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import sys
 from datetime import datetime, timezone
-from typing import Callable
+from typing import Iterable, Sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,36 +116,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# emitters
+# the result renderer
 # ---------------------------------------------------------------------------
 
-def _emit(payload: dict, csv_text: Callable[[], str], text_lines: list[str], args) -> None:
-    """Write the run in the chosen format; the CSV body is rendered only
-    when it is asked for."""
+def _cell(x) -> str:
+    return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def _emit(args, params: dict, result, table: Iterable[Sequence], lines: list[str]) -> int:
+    """Write the run in the chosen format.  json echoes the configuration
+    and serializes dataclasses by their fields; csv writes `table` (a
+    header row, then rows) and is the only branch that iterates it; text
+    joins `lines`."""
     if args.format == "json":
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        payload = {"config": {"subcommand": args.subcommand, "seed": args.seed,
+                              "format": args.format, **params}}
+        if not args.no_timestamp:
+            payload["generated_at"] = datetime.now(timezone.utc).isoformat()
+        payload["result"] = result
+        body = json.dumps(payload, sort_keys=True, indent=2, default=dataclasses.asdict) + "\n"
     elif args.format == "csv":
-        body = csv_text()
+        body = "".join(",".join(map(_cell, row)) + "\n" for row in table)
     else:
-        body = "\n".join(text_lines) + "\n"
+        body = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(body)
     else:
         sys.stdout.write(body)
-
-
-def _key_value_csv(result: dict) -> str:
-    return "key,value\n" + "\n".join(f"{k},{v!r}" for k, v in result.items()) + "\n"
-
-
-def _header(args, **params) -> dict:
-    config = {"subcommand": args.subcommand, "seed": args.seed, "format": args.format}
-    config.update(params)
-    head = {"config": config}
-    if not args.no_timestamp:
-        head["generated_at"] = datetime.now(timezone.utc).isoformat()
-    return head
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +164,10 @@ def _run_tree_norm(args) -> int:
     radii = list(range(args.depth + 1)) if args.ladder else [args.depth]
     ladder = se.compression_ladder(graph, mu, radii)
     limit = 2.0 * (args.degree - 1) ** 0.5 / args.degree
-    payload = _header(args, degree=args.degree, depth=args.depth, ladder=args.ladder)
-    payload["result"] = {
+    result = {
         "compressed_norm": ladder.norms[-1],
-        "radii": list(ladder.radii),
-        "norms": list(ladder.norms),
+        "radii": ladder.radii,
+        "norms": ladder.norms,
         "limit_walk_norm": limit,
     }
     lines = [
@@ -172,8 +175,8 @@ def _run_tree_norm(args) -> int:
         f"compressed norm = {ladder.norms[-1]:.9f}",
         f"walk operator norm (infinite tree) = {limit:.9f}",
     ]
-    _emit(payload, ladder.to_csv, lines, args)
-    return EXIT_OK
+    params = {"degree": args.degree, "depth": args.depth, "ladder": args.ladder}
+    return _emit(args, params, result, [("radius", "norm"), *zip(ladder.radii, ladder.norms)], lines)
 
 
 def _measure_for_preset(preset: str, rank: int):
@@ -200,8 +203,7 @@ def _run_return_prob(args) -> int:
         print("ERROR:usage:need --preset or --measure-file", file=sys.stderr)
         return EXIT_USAGE
     series = ga.spectral_radius_return(mu, args.n_max)
-    payload = _header(args, preset=args.preset, rank=args.rank, n_max=args.n_max)
-    payload["result"] = {
+    result = {
         "method": series.method,
         "symmetric": series.symmetric,
         "certified_lower_bound": series.certified_lower_bound,
@@ -212,13 +214,10 @@ def _run_return_prob(args) -> int:
         f"return-probability roots via {series.method}",
         f"r_{series.n_max} = {series.roots[-1]:.9f} (certified lower bound on the operator norm)",
     ]
-
-    def csv_text() -> str:
-        rows = [f"{i + 1},{float(series.roots[i])!r}" for i in range(series.n_max)]
-        return "\n".join(["n,root"] + rows) + "\n"
-
-    _emit(payload, csv_text, lines, args)
-    return EXIT_OK
+    # one row per root, produced only when the csv branch iterates it
+    table = itertools.chain([("n", "root")], enumerate(series.roots, 1))
+    params = {"preset": args.preset, "rank": args.rank, "n_max": args.n_max}
+    return _emit(args, params, result, table, lines)
 
 
 def _run_pgl2(args) -> int:
@@ -249,11 +248,9 @@ def _run_pgl2(args) -> int:
         )
         if chain.n <= ch.EXACT_ENUMERATION_LIMIT:
             result["cheeger_exact"] = ch.cheeger_exact(chain).h
-    payload = _header(args, q=args.q, trunc=args.trunc, mode=args.mode)
-    payload["result"] = result
     lines = [f"{k} = {v}" for k, v in result.items()]
-    _emit(payload, lambda: _key_value_csv(result), lines, args)
-    return EXIT_OK
+    params = {"q": args.q, "trunc": args.trunc, "mode": args.mode}
+    return _emit(args, params, result, [("key", "value"), *result.items()], lines)
 
 
 def _run_cheeger(args) -> int:
@@ -263,14 +260,12 @@ def _run_cheeger(args) -> int:
     with open(args.input) as fh:
         chain = mc.chain_from_json(fh.read())
     report = ch.cheeger_sweep(chain) if args.sweep else ch.cheeger_exact(chain)
-    payload = _header(args, input=args.input, exact=not args.sweep)
-    payload["result"] = report.to_json_dict()
     lines = [
         f"h = {report.h:.9f} ({report.method})",
         f"argmin subset = {list(report.argmin_subset)}",
     ]
-    _emit(payload, lambda: f"h,method\n{report.h!r},{report.method}\n", lines, args)
-    return EXIT_OK
+    table = [("h", "method"), (report.h, report.method)]
+    return _emit(args, {"input": args.input, "exact": not args.sweep}, report, table, lines)
 
 
 def _run_cayley(args) -> int:
@@ -291,10 +286,8 @@ def _run_cayley(args) -> int:
         "gap_bound": bound,
         "method": lam_report.method,
     }
-    payload = _header(args, n=args.n, p=args.p)
-    payload["result"] = result
-    _emit(payload, lambda: _key_value_csv(result), [f"{k} = {v}" for k, v in result.items()], args)
-    return EXIT_OK
+    lines = [f"{k} = {v}" for k, v in result.items()]
+    return _emit(args, {"n": args.n, "p": args.p}, result, [("key", "value"), *result.items()], lines)
 
 
 def _run_torus(args) -> int:
@@ -313,11 +306,10 @@ def _run_torus(args) -> int:
     ladder = se.compression_ladder(
         graph, mu, radii, limit_claim=3.0**0.5 / 2.0, claim_tag="free-group walk norm"
     )
-    payload = _header(args, radius=args.radius, basepoint=list(base))
-    payload["result"] = {
+    result = {
         "orbit_vertices": graph.n_vertices,
-        "radii": list(ladder.radii),
-        "norms": list(ladder.norms),
+        "radii": ladder.radii,
+        "norms": ladder.norms,
         "supremum": ladder.supremum,
         "ceiling": 3.0**0.5 / 2.0,
     }
@@ -325,8 +317,8 @@ def _run_torus(args) -> int:
         f"orbit ball: {graph.n_vertices} vertices (sup-norm radius {args.radius})",
         f"ladder supremum = {ladder.supremum:.9f} (ceiling 0.866025...)",
     ]
-    _emit(payload, ladder.to_csv, lines, args)
-    return EXIT_OK
+    params = {"radius": args.radius, "basepoint": base}
+    return _emit(args, params, result, [("radius", "norm"), *zip(ladder.radii, ladder.norms)], lines)
 
 
 def _run_bernoulli(args) -> int:
@@ -350,15 +342,14 @@ def _run_bernoulli(args) -> int:
     graph = wm.build_bernoulli_schreier(args.rank, words, args.radius)
     mu = ga.ProbMeasure.uniform(ga.free_generators(args.rank))
     norm = se.compressed_norm(graph, mu, args.radius)
-    payload = _header(args, config=names, rank=args.rank, radius=args.radius)
-    payload["result"] = {
+    result = {
         "orbit_vertices": graph.n_vertices,
         "compressed_norm": norm,
         "ceiling": (2 * args.rank - 1) ** 0.5 / args.rank,
     }
     lines = [f"orbit vertices = {graph.n_vertices}", f"compressed norm = {norm:.9f}"]
-    _emit(payload, lambda: f"radius,norm\n{args.radius},{norm!r}\n", lines, args)
-    return EXIT_OK
+    params = {"config": names, "rank": args.rank, "radius": args.radius}
+    return _emit(args, params, result, [("radius", "norm"), (args.radius, norm)], lines)
 
 
 def _run_expanders(args) -> int:
@@ -366,9 +357,11 @@ def _run_expanders(args) -> int:
 
     primes = [int(x) for x in args.primes.split(",") if x.strip()]
     cert = ex.build_family(args.n, primes)
-    payload = _header(args, n=args.n, primes=primes)
-    payload["result"] = cert.to_json_dict()
-    payload["result"]["expanding_constant_lower"] = ex.expanding_constant_report(cert)
+    result = {
+        **dataclasses.asdict(cert),
+        "family_inf_lambda1": cert.family_inf_lambda1,
+        "expanding_constant_lower": ex.expanding_constant_report(cert),
+    }
     lines = [
         f"SL_{args.n} family over primes {primes}",
         f"family inf lambda_1 = {cert.family_inf_lambda1:.9f}",
@@ -376,8 +369,9 @@ def _run_expanders(args) -> int:
         f"p={r.prime}: order {r.order}, lambda_1 {r.lambda_1:.6f}, bound {r.gap_bound:.6f}"
         for r in cert.members
     ]
-    _emit(payload, cert.to_csv, lines, args)
-    return EXIT_OK
+    table = [("p", "order", "lambda_1", "gap_bound")]
+    table += [(r.prime, r.order, r.lambda_1, r.gap_bound) for r in cert.members]
+    return _emit(args, {"n": args.n, "primes": primes}, result, table, lines)
 
 
 def _run_lyapunov(args) -> int:
@@ -388,12 +382,7 @@ def _run_lyapunov(args) -> int:
     u_vals = ly.exact_u_n(ly.sanov_group_measure(), args.u_max)
     u_over_n = [u / (i + 1) for i, u in enumerate(u_vals)]
     bound = ly.furstenberg_bound((3.0**0.5 / 2.0) ** 0.5, 2)
-    payload = _header(args, n_steps=args.n_steps, trials=args.trials, u_max=args.u_max)
-    payload["result"] = {
-        "estimate": estimate.to_json_dict(),
-        "u_over_n": u_over_n,
-        "spectral_bound": bound,
-    }
+    result = {"estimate": estimate, "u_over_n": u_over_n, "spectral_bound": bound}
     lines = ["n   u_n / n"]
     lines += [f"{i + 1:<3d} {x:.9f}" for i, x in enumerate(u_over_n)]
     lines.append(
@@ -401,15 +390,10 @@ def _run_lyapunov(args) -> int:
         f"(ci half-width {estimate.ci_half_width:.6f})"
     )
     lines.append(f"spectral lower bound: {bound:.6f}")
-
-    def csv_text() -> str:
-        rows = ["n,u_over_n"] + [f"{i + 1},{x!r}" for i, x in enumerate(u_over_n)]
-        rows.append(f"mc@{args.n_steps},{estimate.point_estimate!r}")
-        rows.append(f"bound,{bound!r}")
-        return "\n".join(rows) + "\n"
-
-    _emit(payload, csv_text, lines, args)
-    return EXIT_OK
+    table = [("n", "u_over_n"), *enumerate(u_over_n, 1)]
+    table += [(f"mc@{args.n_steps}", estimate.point_estimate), ("bound", bound)]
+    params = {"n_steps": args.n_steps, "trials": args.trials, "u_max": args.u_max}
+    return _emit(args, params, result, table, lines)
 
 
 _RUNNERS = {

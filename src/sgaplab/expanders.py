@@ -10,9 +10,6 @@ baseline instead.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,22 +43,6 @@ class MemberRecord:
     h_exact: float | None
     method: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "order": self.order,
-            "degree": self.degree,
-            "lambda_1": self.lambda_1,
-            "norm_l20": self.norm_l20,
-            "gap_bound": self.gap_bound,
-            "h_lower": self.h_lower,
-            "h_upper": self.h_upper,
-            "h_edge_lower": self.h_edge_lower,
-            "h_edge_upper": self.h_edge_upper,
-            "h_exact": self.h_exact,
-            "method": self.method,
-        }
-
 
 @dataclass(frozen=True)
 class FamilyCertificate:
@@ -91,24 +72,6 @@ class FamilyCertificate:
     @property
     def family_inf_lambda1(self) -> float:
         return min(rec.lambda_1 for rec in self.members)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "members": [rec.to_json_dict() for rec in self.members],
-            "family_inf_lambda1": self.family_inf_lambda1,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["p", "order", "lambda_1", "gap_bound"])
-        for rec in self.members:
-            writer.writerow([rec.prime, rec.order, repr(rec.lambda_1), repr(rec.gap_bound)])
-        return buf.getvalue()
 
 
 def build_member_graph(n: int, p: int, max_size: int = CAYLEY_BUDGET) -> LabeledGraph:

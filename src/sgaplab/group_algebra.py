@@ -305,8 +305,8 @@ class ProbMeasure:
                     f"support mixes families {fam} and {key}"
                 )
             w = float(w)
-            if w <= 0.0:
-                raise ValueError(f"weight {w} for {g!r} must be positive")
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"weight {w} for {g!r} must be positive and finite")
             merged[g] = merged.get(g, 0.0) + w
         total = math.fsum(merged.values())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -391,20 +391,23 @@ class ProbMeasure:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProbMeasure":
-        kind = data["variant"]
-        params = data.get("params", {})
-        pairs = []
-        for rec in data["support"]:
-            raw = rec["elem"]
-            if kind == "free":
-                g: GroupElement = free_word(int(params["rank"]), raw)
-            elif kind == "matmodp":
-                g = mat_mod_p(int(params["p"]), raw)
-            elif kind == "matz":
-                g = mat_z(raw)
-            else:
-                raise ValueError(f"unknown variant {kind!r}")
-            pairs.append((g, float(rec["w"])))
+        try:
+            kind = data["variant"]
+            params = data.get("params", {})
+            pairs = []
+            for rec in data["support"]:
+                raw = rec["elem"]
+                if kind == "free":
+                    g: GroupElement = free_word(int(params["rank"]), raw)
+                elif kind == "matmodp":
+                    g = mat_mod_p(int(params["p"]), raw)
+                elif kind == "matz":
+                    g = mat_z(raw)
+                else:
+                    raise ValueError(f"unknown variant {kind!r}")
+                pairs.append((g, float(rec["w"])))
+        except KeyError as exc:
+            raise ValueError(f"measure JSON lacks the key {exc.args[0]!r}") from None
         return cls(pairs)
 
     @classmethod
@@ -482,16 +485,6 @@ class ReturnProbabilitySeries:
     @property
     def certified_lower_bound(self) -> float:
         return float(self.roots[-1])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "log_values": [float(x) for x in self.log_values],
-            "roots": [float(x) for x in self.roots],
-            "symmetric": self.symmetric,
-            "method": self.method,
-            "certified_lower_bound": self.certified_lower_bound,
-        }
 
 
 def _radial_uniform_rank(mu: ProbMeasure) -> int | None:

@@ -8,14 +8,13 @@ Euclidean norm.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .group_algebra import ProbMeasure, convolve
+from .group_algebra import WEIGHT_SUM_TOL, ProbMeasure, convolve
 
 EXACT_POWER_CAP = 8
 EXACT_SUPPORT_BUDGET = 200_000
@@ -35,10 +34,10 @@ class MatrixMeasure:
         w = np.asarray(self.weights, dtype=float)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[0] == 0:
             raise ValueError("matrices must have shape (k, d, d) with k >= 1")
-        if w.shape != (mats.shape[0],) or np.any(w <= 0.0):
+        if w.shape != (mats.shape[0],) or not np.all(w > 0.0):  # also rejects NaN
             raise ValueError("weights must be positive, one per matrix")
-        if abs(math.fsum(w.tolist()) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
+        if abs(math.fsum(w.tolist()) - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}")
         dets = np.linalg.det(mats)
         if np.any(np.abs(dets) < 1e-12):
             bad = int(np.argmin(np.abs(dets)))
@@ -90,23 +89,6 @@ class LyapunovEstimate:
             raise ValueError("confidence half-width must be non-negative")
         if self.n_steps < 1 or self.n_trials < 1:
             raise ValueError("need at least one step and one trial")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "point_estimate": self.point_estimate,
-            "ci_half_width": self.ci_half_width,
-            "n_steps": self.n_steps,
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "exact_subadditive": (
-                list(self.exact_subadditive)
-                if self.exact_subadditive is not None
-                else None
-            ),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _operator_norm(mat: np.ndarray) -> float:

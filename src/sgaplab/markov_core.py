@@ -49,8 +49,14 @@ class WeightedChain:
         if n == 0:
             raise ValueError("chain needs at least one state")
         m = np.asarray(measure, dtype=float)
-        if m.shape != (n,) or np.any(m <= 0.0):
+        if m.shape != (n,):
             raise ValueError("measure must assign a positive weight to every state")
+        bad = np.flatnonzero(~(np.isfinite(m) & (m > 0.0)))
+        if bad.size:
+            raise ValueError(
+                f"state {self.states[bad[0]]!r} has weight {float(m[bad[0]])}; "
+                "weights must be positive and finite"
+            )
         trans = [(int(i), int(j), float(p)) for i, j, p in transitions]
         src = np.array([t[0] for t in trans], dtype=np.int64)
         dst = np.array([t[1] for t in trans], dtype=np.int64)
@@ -58,7 +64,7 @@ class WeightedChain:
         if trans:
             if src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n:
                 raise ValueError("transition index out of range")
-        if np.any(prob <= 0.0):
+        if not np.all(prob > 0.0):  # also rejects NaN
             raise ValueError("transition probabilities must be positive")
         if len(set(zip(src.tolist(), dst.tolist()))) != len(trans):
             raise ValueError("duplicate (i, j) transition")
@@ -138,15 +144,6 @@ class SpectralReport:
         if self.method not in ("dense", "lanczos"):
             raise ValueError(f"unknown method {self.method!r}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "certified_lower": self.certified_lower,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "method": self.method,
-        }
-
 
 # ---------------------------------------------------------------------------
 # diagnostics and basic operator actions
@@ -163,7 +160,7 @@ def check_detailed_balance(chain: WeightedChain) -> float:
         if i == j:
             continue
         worst = max(worst, abs(f - flow.get((j, i), 0.0)))
-    return worst
+    return float(worst)
 
 
 def require_reversible(chain: WeightedChain, tol: float = REVERSIBILITY_TOL) -> None:
@@ -384,10 +381,14 @@ def chain_to_json(chain: WeightedChain) -> str:
 
 
 def chain_from_json_dict(data: dict) -> WeightedChain:
+    try:
+        states, measure, transitions = data["states"], data["measure"], data["transitions"]
+    except KeyError as exc:
+        raise ValueError(f"chain JSON lacks the key {exc.args[0]!r}") from None
     return WeightedChain(
-        states=data["states"],
-        measure=data["measure"],
-        transitions=[tuple(t) for t in data["transitions"]],
+        states=states,
+        measure=measure,
+        transitions=[tuple(t) for t in transitions],
         row_mode=data.get("row_mode", "stochastic"),
     )
 

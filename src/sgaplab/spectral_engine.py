@@ -16,8 +16,6 @@ before it.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -164,14 +162,6 @@ class CompressionLadder:
     @property
     def supremum(self) -> float:
         return max(self.norms)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["radius", "norm"])
-        for r, x in zip(self.radii, self.norms):
-            writer.writerow([r, repr(x)])
-        return buf.getvalue()
 
 
 def compression_ladder(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -48,17 +49,108 @@ def test_ladder_csv_output():
     assert len(lines) == 5
 
 
+SMALL_RUNS = {
+    "tree-norm": ["--degree", "4", "--depth", "3", "--ladder"],
+    "return-prob": ["--preset", "free-ab", "--n-max", "30"],
+    "pgl2": ["--q", "3", "--trunc", "11"],
+    "cheeger": ["--input", "{chain}", "--exact"],
+    "cayley": ["--n", "2", "--p", "3"],
+    "torus": ["--radius", "4", "--ladder-step", "2"],
+    "bernoulli": ["--config", "e,a", "--radius", "2"],
+    "expanders": ["--n", "2", "--primes", "3,5"],
+    "lyapunov": ["--n-steps", "20", "--trials", "2", "--u-max", "3"],
+}
+
+
+def small_argv(subcommand: str, tmp_path) -> list[str]:
+    chain = tmp_path / "chain.json"
+    if not chain.exists():
+        chain.write_text(sg.chain_to_json(sg.WeightedChain(
+            ["a", "b", "c"], [1.0, 2.0, 1.0],
+            [(0, 1, 1.0), (1, 0, 0.5), (1, 2, 0.5), (2, 1, 1.0)],
+        )))
+    args = [a.format(chain=chain) for a in SMALL_RUNS[subcommand]]
+    return [subcommand, *args, "--no-timestamp"]
+
+
 def test_csv_is_rendered_only_for_csv_format(monkeypatch, tmp_path):
-    def no_csv(self):
+    def no_csv(_x):
         raise RuntimeError("csv rendered for a non-csv format")
 
-    monkeypatch.setattr(sg.CompressionLadder, "to_csv", no_csv)
-    argv = ["tree-norm", "--degree", "4", "--depth", "3", "--ladder", "--no-timestamp"]
-    for fmt in ("json", "text"):
-        out = str(tmp_path / f"ladder.{fmt}")
-        assert cli.run(argv + ["--format", fmt, "--output", out]) == 0
-    with pytest.raises(RuntimeError):
-        cli.run(argv + ["--format", "csv", "--output", str(tmp_path / "ladder.csv")])
+    monkeypatch.setattr(cli, "_cell", no_csv)
+    assert sorted(SMALL_RUNS) == sorted(cli._RUNNERS)
+    for subcommand in SMALL_RUNS:
+        argv = small_argv(subcommand, tmp_path)
+        for fmt in ("json", "text"):
+            out = str(tmp_path / f"{subcommand}.{fmt}")
+            assert cli.run(argv + ["--format", fmt, "--output", out]) == 0
+        with pytest.raises(RuntimeError):
+            cli.run(argv + ["--format", "csv", "--output", str(tmp_path / "out.csv")])
+
+
+NUMBER = re.compile(r"-?(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-?inf|nan")
+BARE_WORD = re.compile(r"[A-Za-z_][\w@]*")
+
+
+def csv_cell(cell: str):
+    """A CSV cell as a float, or as itself when it is a bare word."""
+    if NUMBER.fullmatch(cell):
+        return float(cell)
+    assert BARE_WORD.fullmatch(cell), f"cell {cell!r} is neither a number nor a bare word"
+    return cell
+
+
+def table_from_json(subcommand: str, blob: dict) -> list[tuple]:
+    """The rows the CSV must hold, read from the JSON run of the same job."""
+    config, res = blob["config"], blob["result"]
+    if subcommand in ("tree-norm", "torus"):
+        return [("radius", "norm"), *zip(res["radii"], res["norms"])]
+    if subcommand == "return-prob":
+        return [("n", "root"), (config["n_max"], res["final_root"])]  # last row only
+    if subcommand in ("pgl2", "cayley"):
+        return [("key", "value"), *res.items()]
+    if subcommand == "cheeger":
+        return [("h", "method"), (res["h"], res["method"])]
+    if subcommand == "bernoulli":
+        return [("radius", "norm"), (config["radius"], res["compressed_norm"])]
+    if subcommand == "expanders":
+        members = [(r["prime"], r["order"], r["lambda_1"], r["gap_bound"]) for r in res["members"]]
+        return [("p", "order", "lambda_1", "gap_bound"), *members]
+    assert subcommand == "lyapunov"
+    rows = [("n", "u_over_n"), *enumerate(res["u_over_n"], 1)]
+    rows += [(f"mc@{config['n_steps']}", res["estimate"]["point_estimate"])]
+    return rows + [("bound", res["spectral_bound"])]
+
+
+@pytest.mark.parametrize("subcommand", sorted(SMALL_RUNS))
+def test_csv_cells_are_plain_and_match_json(subcommand, tmp_path):
+    argv = small_argv(subcommand, tmp_path)
+    json_out, csv_out = tmp_path / "run.json", tmp_path / "run.csv"
+    assert cli.run(argv + ["--output", str(json_out)]) == 0
+    assert cli.run(argv + ["--format", "csv", "--output", str(csv_out)]) == 0
+    text = csv_out.read_text()
+    assert "np." not in text and "'" not in text and '"' not in text
+    rows = [tuple(csv_cell(c) for c in line.split(",")) for line in text.splitlines()]
+    want = table_from_json(subcommand, json.loads(json_out.read_text()))
+    want = [tuple(c if isinstance(c, str) else float(c) for c in row) for row in want]
+    if subcommand == "return-prob":
+        assert len(rows) == 1 + 30 and rows[0] == want[0] and rows[-1] == want[1]
+    elif subcommand in ("pgl2", "cayley"):  # the JSON keys are sorted
+        assert rows[0] == want[0] and dict(rows[1:]) == dict(want[1:]) and len(rows) == len(want)
+    else:
+        assert rows == want
+
+
+@pytest.mark.parametrize("argv, blob, key", [
+    (["cheeger", "--input"], {"measure": [1.0], "transitions": [[0, 0, 1.0]]}, "states"),
+    (["return-prob", "--measure-file"], {"params": {"rank": 1}, "support": [{"elem": [1], "w": 1.0}]}, "variant"),
+])
+def test_missing_key_in_input_json_is_invalid(argv, blob, key, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(blob))
+    assert cli.run(argv + [str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR:invalid:") and repr(key) in err[0]
 
 
 def test_unknown_flag_is_usage_error():

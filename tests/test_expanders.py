@@ -1,9 +1,12 @@
 """Expander family certificates from congruence quotients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sgaplab as sg
+from sgaplab import cli
 from sgaplab.errors import BudgetExceededError
 from sgaplab.expanders import MemberRecord, build_member_graph
 
@@ -64,10 +67,15 @@ def test_budget_guard():
         build_member_graph(3, 11)  # order ~ 10^9
 
 
-def test_certificate_serialization():
+def test_certificate_serialization(tmp_path):
     cert = sg.build_family(2, [3])
-    blob = cert.to_json_dict()
+    blob = dataclasses.asdict(cert)
     assert blob["members"][0]["order"] == 24
-    csv_text = cert.to_csv()
-    assert csv_text.splitlines()[0] == "p,order,lambda_1,gap_bound"
-    assert len(csv_text.splitlines()) == 2
+    assert set(blob["members"][0]) == {f.name for f in dataclasses.fields(MemberRecord)}
+    out = tmp_path / "cert.csv"
+    argv = ["expanders", "--n", "2", "--primes", "3", "--format", "csv", "--output", str(out)]
+    assert cli.run(argv) == 0
+    csv_lines = out.read_text().splitlines()
+    assert csv_lines[0] == "p,order,lambda_1,gap_bound"
+    assert len(csv_lines) == 2
+    assert csv_lines[1].split(",")[:2] == ["3", "24"]

@@ -1,6 +1,7 @@
 """Elements, measures, convolution, and the return-probability series."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,13 @@ def test_measure_validation():
         sg.ProbMeasure([(a, -0.2), (sg.free_word(2, [2]), 1.2)])
     with pytest.raises(VariantMismatchError):
         sg.ProbMeasure([(a, 0.5), (sg.mat_z([[1, 0], [0, 1]]), 0.5)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_measure_weight_is_rejected_naming_the_element(bad):
+    a, b = sg.free_word(2, [1]), sg.free_word(2, [2])
+    with pytest.raises(ValueError, match=re.escape(f"weight {bad} for {b!r}")):
+        sg.ProbMeasure([(a, 0.5), (b, bad)])
 
 
 def test_delta_convolution_is_identity():

@@ -1,12 +1,15 @@
 """Lyapunov estimates, exact log-norm expectations, and the spectral bound."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 import sgaplab as sg
-from sgaplab import lyapunov
+from sgaplab import cli, lyapunov
+from sgaplab.group_algebra import WEIGHT_SUM_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -20,6 +23,13 @@ def test_matrix_measure_validation():
         sg.MatrixMeasure(np.array([np.eye(2)]), np.array([0.5]))  # mass 0.5
     ok = sg.MatrixMeasure(np.array([np.eye(2)]), np.array([1.0]))
     assert ok.dim == 2
+    pair = np.array([np.eye(2), np.eye(2)])
+    with pytest.raises(ValueError):
+        sg.MatrixMeasure(pair, np.array([0.5, float("nan")]))
+    # the weight-sum tolerance is the one ProbMeasure uses
+    sg.MatrixMeasure(pair, np.array([0.5, 0.5 + WEIGHT_SUM_TOL / 4]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        sg.MatrixMeasure(pair, np.array([0.5, 0.5 + 4 * WEIGHT_SUM_TOL]))
 
 
 def test_from_group_measure_matches_sanov():
@@ -184,8 +194,13 @@ def test_furstenberg_bound_validation():
         sg.furstenberg_bound(1.5, 2)
 
 
-def test_estimate_json_round_trip_fields():
+def test_estimate_json_round_trip_fields(tmp_path):
     est = sg.estimate_lyapunov(sg.sanov_matrix_measure(), 50, 5, 3)
-    blob = est.to_json_dict()
-    assert blob["n_steps"] == 50 and blob["n_trials"] == 5 and blob["seed"] == 3
-    assert blob["exact_subadditive"] is None
+    fields = dataclasses.asdict(est)
+    assert fields["n_steps"] == 50 and fields["n_trials"] == 5 and fields["seed"] == 3
+    assert fields["exact_subadditive"] is None
+    out = tmp_path / "lyapunov.json"
+    argv = ["lyapunov", "--n-steps", "50", "--trials", "5", "--seed", "3", "--u-max", "2",
+            "--no-timestamp", "--output", str(out)]
+    assert cli.run(argv) == 0
+    assert json.loads(out.read_text())["result"]["estimate"] == fields

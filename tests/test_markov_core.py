@@ -1,5 +1,7 @@
 """Weighted chains, detailed balance, and the spectral operations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,16 @@ def test_construction_validates_rows_and_measure():
         sg.WeightedChain(["a", "b"], [1, 1], [(0, 1, 1.2), (1, 0, 1.0)], row_mode="substochastic")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_weights_are_rejected_naming_the_state(bad):
+    swap = [(0, 1, 1.0), (1, 0, 1.0)]
+    with pytest.raises(ValueError, match=f"state 'b' has weight {bad}"):
+        sg.WeightedChain(["a", "b"], [1.0, bad], swap)
+    for mode in ("stochastic", "substochastic"):
+        with pytest.raises(ValueError):
+            sg.WeightedChain(["a", "b"], [1.0, 1.0], [(0, 1, bad), (1, 0, 1.0)], row_mode=mode)
+
+
 def test_detailed_balance_values():
     halfline = sg.build_pgl2_halfline(sg.HalfLineSpec(q=2, length=10, mode="lumped"))
     assert sg.check_detailed_balance(halfline) < 1e-14
@@ -48,6 +60,8 @@ def test_detailed_balance_values():
         ["0", "1"], [0.5, 0.5], [(0, 1, 1.0), (1, 0, 0.5), (1, 1, 0.5)]
     )
     assert sg.check_detailed_balance(lopsided) == pytest.approx(0.25, abs=0)
+    assert type(sg.check_detailed_balance(lopsided)) is float
+    assert type(sg.check_detailed_balance(halfline)) is float
     with pytest.raises(NotReversibleError):
         sg.lambda1(lopsided)
 
@@ -190,7 +204,9 @@ def test_spectral_report_validation():
     with pytest.raises(ValueError):
         sg.SpectralReport(estimate=1.0, certified_lower=0.5, iterations=1, residual=-1.0, method="dense")
     rep = sg.SpectralReport(estimate=1.0, certified_lower=0.9, iterations=3, residual=0.01, method="lanczos")
-    assert rep.to_json_dict()["method"] == "lanczos"
+    assert dataclasses.asdict(rep) == {
+        "estimate": 1.0, "certified_lower": 0.9, "iterations": 3, "residual": 0.01, "method": "lanczos",
+    }
 
 
 def test_chain_json_round_trip(rng):

@@ -1,5 +1,6 @@
 """Compressions, radial quotients, tensor powers, and the expander bound."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgaplab as sg
+from sgaplab import cli
 from sgaplab import spectral_engine as se
 from sgaplab.spectral_engine import compressed_operator
 
@@ -89,11 +91,19 @@ def test_torus_ladder_stays_under_free_walk_norm():
     assert ladder.supremum <= math.sqrt(3) / 2 + 1e-9
 
 
-def test_ladder_csv_and_validation():
+def test_ladder_csv_and_validation(tmp_path):
     ladder = sg.CompressionLadder((0, 1, 2), (0.1, 0.2, 0.25))
-    text = ladder.to_csv()
+    assert dataclasses.asdict(ladder) == {
+        "radii": (0, 1, 2), "norms": (0.1, 0.2, 0.25), "limit_claim": None, "claim_tag": None,
+    }
+    out = tmp_path / "ladder.csv"
+    argv = ["tree-norm", "--degree", "4", "--depth", "2", "--ladder", "--format", "csv",
+            "--output", str(out)]
+    assert cli.run(argv) == 0
+    text = out.read_text()
     assert text.splitlines()[0] == "radius,norm"
     assert len(text.splitlines()) == 4
+    assert [row.split(",")[0] for row in text.splitlines()[1:]] == ["0", "1", "2"]
     with pytest.raises(ValueError):
         sg.CompressionLadder((0, 1), (0.3, 0.1))
     with pytest.raises(ValueError):
