@@ -83,6 +83,7 @@ from .spectral_engine import (
     expander_bound_check,
     radial_rayleigh,
     tensor_power_check,
+    tree_ball_ladder,
 )
 from .expanders import (
     FamilyCertificate,

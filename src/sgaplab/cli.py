@@ -152,28 +152,20 @@ def _emit(args, params: dict, result, table: Iterable[Sequence], lines: list[str
 # ---------------------------------------------------------------------------
 
 def _run_tree_norm(args) -> int:
-    from . import group_algebra as ga
     from . import spectral_engine as se
-    from . import walk_models as wm
 
-    if args.degree % 2 != 0:
-        print("ERROR:usage:--degree must be even to carry a free-group measure", file=sys.stderr)
-        return EXIT_USAGE
-    graph = wm.build_tree(args.degree, args.depth)
-    mu = ga.ProbMeasure.uniform(ga.free_generators(args.degree // 2))
-    radii = list(range(args.depth + 1)) if args.ladder else [args.depth]
-    ladder = se.compression_ladder(graph, mu, radii)
-    limit = 2.0 * (args.degree - 1) ** 0.5 / args.degree
+    radii = range(args.depth + 1) if args.ladder else [args.depth]
+    ladder = se.tree_ball_ladder(args.degree, radii)
     result = {
         "compressed_norm": ladder.norms[-1],
         "radii": ladder.radii,
         "norms": ladder.norms,
-        "limit_walk_norm": limit,
+        "limit_walk_norm": ladder.limit_claim,
     }
     lines = [
         f"tree degree {args.degree}, ball depth {args.depth}",
         f"compressed norm = {ladder.norms[-1]:.9f}",
-        f"walk operator norm (infinite tree) = {limit:.9f}",
+        f"walk operator norm (infinite tree) = {ladder.limit_claim:.9f}",
     ]
     params = {"degree": args.degree, "depth": args.depth, "ladder": args.ladder}
     return _emit(args, params, result, [("radius", "norm"), *zip(ladder.radii, ladder.norms)], lines)
@@ -327,27 +319,19 @@ def _run_bernoulli(args) -> int:
     from . import walk_models as wm
 
     names = [w.strip() for w in args.config.split(",") if w.strip()]
-    words = []
+    if not names:
+        raise ValueError("configuration must be a non-empty finite set of words")
     for name in names:
-        if name == "e":
-            words.append(ga.free_word(args.rank, []))
-        else:
-            letters = []
-            for chc in name:
-                if chc.islower():
-                    letters.append(ord(chc) - ord("a") + 1)
-                else:
-                    letters.append(-(ord(chc.lower()) - ord("a") + 1))
-            words.append(ga.free_word(args.rank, letters))
-    graph = wm.build_bernoulli_schreier(args.rank, words, args.radius)
-    mu = ga.ProbMeasure.uniform(ga.free_generators(args.rank))
-    norm = se.compressed_norm(graph, mu, args.radius)
+        ga.parse_word(args.rank, name)
+    # the orbit ball is the Cayley ball (see walk_models.build_bernoulli_schreier)
+    norm = se.tree_ball_ladder(2 * args.rank, [args.radius]).norms[0]
+    vertices = wm.tree_ball_size(2 * args.rank, args.radius)
     result = {
-        "orbit_vertices": graph.n_vertices,
+        "orbit_vertices": vertices,
         "compressed_norm": norm,
         "ceiling": (2 * args.rank - 1) ** 0.5 / args.rank,
     }
-    lines = [f"orbit vertices = {graph.n_vertices}", f"compressed norm = {norm:.9f}"]
+    lines = [f"orbit vertices = {vertices}", f"compressed norm = {norm:.9f}"]
     params = {"config": names, "rank": args.rank, "radius": args.radius}
     return _emit(args, params, result, [("radius", "norm"), (args.radius, norm)], lines)
 

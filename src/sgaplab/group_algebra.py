@@ -74,6 +74,25 @@ def free_word(rank: int, letters: Iterable[int] = ()) -> FreeWord:
     return FreeWord(rank, _reduce_letters(letters))
 
 
+def parse_word(rank: int, text: str) -> FreeWord:
+    """The free word named by `text`, the inverse of `element_label` for rank
+    <= 26: "e" is the identity, a-z the generators and A-Z their inverses.
+    The letters are reduced, so "aA" names the identity."""
+    if text == "e":
+        return free_word(rank, [])
+    if not text:
+        raise ValueError("a word needs at least one letter; the identity is 'e'")
+    letters = []
+    for ch in text:
+        index = ord(ch.lower()) - ord("a") + 1
+        if not (ch.isascii() and ch.isalpha() and index <= rank):
+            raise ValueError(
+                f"word {text!r}: {ch!r} is not a generator letter of the free group of rank {rank}"
+            )
+        letters.append(index if ch.islower() else -index)
+    return free_word(rank, letters)
+
+
 def free_generators(rank: int) -> list[FreeWord]:
     """The signed generators a, A, b, B, ... of the free group of rank `rank`."""
     return [free_word(rank, [s]) for i in range(1, rank + 1) for s in (i, -i)]
@@ -391,11 +410,18 @@ class ProbMeasure:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProbMeasure":
+        if not isinstance(data, dict):
+            raise ValueError(f"measure JSON must be an object, not {type(data).__name__}")
         try:
             kind = data["variant"]
             params = data.get("params", {})
+            support = data["support"]
+            if not isinstance(params, dict):
+                raise ValueError("measure JSON 'params' must be an object")
+            if not (isinstance(support, list) and all(isinstance(r, dict) for r in support)):
+                raise ValueError("measure JSON 'support' must be a list of {\"elem\", \"w\"} objects")
             pairs = []
-            for rec in data["support"]:
+            for rec in support:
                 raw = rec["elem"]
                 if kind == "free":
                     g: GroupElement = free_word(int(params["rank"]), raw)

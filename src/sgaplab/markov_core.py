@@ -74,13 +74,13 @@ class WeightedChain:
             if np.any(np.abs(row_sum - 1.0) > ROW_SUM_TOL):
                 bad = int(np.argmax(np.abs(row_sum - 1.0)))
                 raise ValueError(
-                    f"row {self.states[bad]!r} sums to {row_sum[bad]!r}, not 1"
+                    f"row {self.states[bad]!r} sums to {float(row_sum[bad])!r}, not 1"
                 )
         else:
             if np.any(row_sum > 1.0 + ROW_SUM_TOL):
                 bad = int(np.argmax(row_sum))
                 raise ValueError(
-                    f"row {self.states[bad]!r} sums to {row_sum[bad]!r} > 1"
+                    f"row {self.states[bad]!r} sums to {float(row_sum[bad])!r} > 1"
                 )
         for a in (m, src, dst, prob):
             a.setflags(write=False)
@@ -381,10 +381,15 @@ def chain_to_json(chain: WeightedChain) -> str:
 
 
 def chain_from_json_dict(data: dict) -> WeightedChain:
+    if not isinstance(data, dict):
+        raise ValueError(f"chain JSON must be an object, not {type(data).__name__}")
     try:
         states, measure, transitions = data["states"], data["measure"], data["transitions"]
     except KeyError as exc:
         raise ValueError(f"chain JSON lacks the key {exc.args[0]!r}") from None
+    if not (isinstance(states, list) and isinstance(transitions, list)
+            and all(isinstance(t, list) for t in transitions)):
+        raise ValueError("chain JSON needs a 'states' list and a 'transitions' list of [i, j, p] triples")
     return WeightedChain(
         states=states,
         measure=measure,

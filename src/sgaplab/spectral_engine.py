@@ -1,6 +1,7 @@
 """Norm machinery beyond a single chain: finite-section compressions of
-operators on infinite graphs, the radial Rayleigh quotient on regular trees,
-the tensor-power norm inequality, and the expander eigenvalue bound.
+operators on infinite graphs, their radial reduction on regular trees, the
+radial Rayleigh quotient, the tensor-power norm inequality, and the expander
+eigenvalue bound.
 
 Compressions restrict the averaging operator to vertices within a graph
 distance of the basepoint, so every value is a certified lower bound on the
@@ -8,8 +9,14 @@ full operator norm and is non-decreasing in the radius.  A compression of a
 symmetric probability measure is symmetric and non-negative, so its norm is
 its Perron eigenvalue: one Lanczos Ritz value above DENSE_NORM_LIMIT rows.
 
-A ladder assembles the operator once, for its largest radius, with rows in
-order of distance from the basepoint; each smaller ball is then a leading
+On a regular tree that Perron vector is unique, so every automorphism fixing
+the root fixes it: it is radial, and the norm of a ball of radius r is the top
+eigenvalue of an (r + 1)-square Jacobi matrix on the spheres
+(`tree_ball_ladder`).  Free-group orbits of finite configurations are tree
+balls too (see `walk_models.build_bernoulli_schreier`).  Other graphs, such
+as the torus orbits, whose balls the sup-norm box cuts, stay on the graph
+path: a ladder assembles the operator once, for its largest radius, with rows
+in order of distance from the basepoint; each smaller ball is then a leading
 principal block, and each solve starts from the Perron vector of the ball
 before it.
 """
@@ -18,12 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .errors import BudgetExceededError
 from .group_algebra import ProbMeasure
 from .markov_core import WeightedChain, extremal_eigs, lambda1, operator_norm_l20
 from .walk_models import LabeledGraph
@@ -35,6 +45,7 @@ UNITARY_TOL = 1e-10
 # previous unit Perron vector.  Pads of 1e-3 to 1e-2 took 55-65 % more
 # Lanczos products on the torus ladder than 1e-12.
 WARM_START_PAD = 1e-12
+RADIAL_ROWS_BUDGET = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +142,13 @@ def compressed_norm(graph: LabeledGraph, mu: ProbMeasure, radius: int) -> float:
     return _sparse_norm(compressed_operator(graph, mu, radius))[0]
 
 
-def _require_increasing(radii: Sequence[int]) -> None:
+def _require_radii(radii: Sequence[int]) -> None:
     if not radii:
         raise ValueError("radii must be non-empty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
+    if radii[0] < 0:
+        raise ValueError("radius must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -151,7 +164,7 @@ class CompressionLadder:
     def __post_init__(self):
         if len(self.radii) != len(self.norms):
             raise ValueError("radii and norms must have equal length")
-        _require_increasing(self.radii)
+        _require_radii(self.radii)
         for a, b in zip(self.norms, self.norms[1:]):
             if b < a - 1e-12:
                 raise ValueError("norms must be non-decreasing along nested radii")
@@ -179,9 +192,7 @@ def compression_ladder(
     Perron vector of the previous radius, padded on the new sphere.
     """
     radii = tuple(int(r) for r in radii)
-    _require_increasing(radii)
-    if radii[0] < 0:
-        raise ValueError("radius must be >= 0")
+    _require_radii(radii)
     full = compressed_operator(graph, mu, radii[-1])
     dist = graph.distances_from_basepoint
     dist = dist[(dist >= 0) & (dist <= radii[-1])]
@@ -204,6 +215,27 @@ def compression_ladder(
         )
         norms.append(norm)
     return CompressionLadder(radii, tuple(norms), limit_claim, claim_tag)
+
+
+def tree_ball_ladder(d: int, radii: Sequence[int]) -> CompressionLadder:
+    """Compressed norms of the simple walk on the d-regular tree over balls of
+    strictly increasing radii: each is the top eigenvalue of the Jacobi matrix
+    of the walk on the spheres (Kesten 1959).  The radii are read lazily, so a
+    ladder over RADIAL_ROWS_BUDGET Jacobi rows fails before any allocation."""
+    if d < 2:
+        raise ValueError("degree must be >= 2")
+    kept, rows = [], 0
+    for r in map(int, radii):
+        kept.append(r)
+        rows += max(r, 0) + 1
+        if rows > RADIAL_ROWS_BUDGET:
+            raise BudgetExceededError(f"radial ladder passes {RADIAL_ROWS_BUDGET} Jacobi rows at radius {r}")
+    _require_radii(kept)
+    off = np.full(kept[-1], (d - 1) ** 0.5 / d)
+    off[:1] = d**0.5 / d
+    eig = partial(sla.eigh_tridiagonal, eigvals_only=True, select="i")
+    norms = [float(eig(np.zeros(r + 1), off[:r], select_range=(r, r))[0]) if r else 0.0 for r in kept]
+    return CompressionLadder(tuple(kept), tuple(norms), 2.0 * (d - 1) ** 0.5 / d, "Kesten 1959")
 
 
 # ---------------------------------------------------------------------------
@@ -302,4 +334,5 @@ __all__ = [
     "expander_bound_check",
     "radial_rayleigh",
     "tensor_power_check",
+    "tree_ball_ladder",
 ]

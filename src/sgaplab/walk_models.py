@@ -8,11 +8,13 @@ g, and the reverse edge carries the label of g^-1.  Edges that would leave a
 truncated vertex set are recorded as boundary stubs so that compressions of
 the ambient operator stay genuine subspace restrictions.
 
-Cayley and Schreier graphs are orbits of a group action, and one enumeration
-builds them all: `group_algebra.explore_orbit`, given the action of each
-generator as a move and, for truncated orbits, the rule that keeps a point
-inside.  It numbers vertices in breadth-first order, so distance from the
-basepoint never decreases along the vertex index.
+Cayley and torus Schreier graphs are orbits of a group action, and one
+enumeration builds them: `group_algebra.explore_orbit`, given the action of
+each generator as a move and, for truncated orbits, the rule that keeps a
+point inside.  It numbers vertices in breadth-first order, so distance from
+the basepoint never decreases along the vertex index.  Configuration-shift
+orbits need no enumeration: the free group acts freely on them, so their
+balls are tree balls.
 """
 
 from __future__ import annotations
@@ -481,36 +483,27 @@ def sanov_generators() -> list[MatZ]:
     return [a, inverse(a), b, inverse(b)]
 
 
-def _shift(g: FreeWord, config: frozenset[FreeWord]) -> frozenset[FreeWord]:
-    return frozenset(mul(g, x) for x in config)
-
-
-def _config_key(config: frozenset[FreeWord]) -> str:
-    return "{" + ",".join(sorted(element_label(w) for w in config)) + "}"
-
-
 def build_bernoulli_schreier(
     rank: int,
     config: Iterable[FreeWord] | Iterable[Sequence[int]],
     radius: int,
 ) -> LabeledGraph:
-    """Schreier graph of the shift action on a finite configuration: the
+    """Schreier graph of the shift action on a finite configuration C: the
     group translates every member word, and the graph keeps the part of the
-    orbit reachable by words of length at most `radius`."""
-    words: set[FreeWord] = set()
-    for c in config:
-        words.add(c if isinstance(c, FreeWord) else free_word(rank, c))
+    orbit reachable by words of length at most `radius`.
+
+    A free group is torsion-free, so g.C = C for a finite non-empty C forces
+    g = e (the powers of g would permute the finite set C, so some g^k fixes
+    a word and g^k = e).  The action on the orbit is therefore free, g -> g.C
+    carries the Cayley ball onto the orbit ball, and the graph is the tree
+    ball `build_tree(2 * rank, radius)`, its vertex g.C labeled by g.
+    """
+    words = {c if isinstance(c, FreeWord) else free_word(rank, c) for c in config}
     if not words:
         raise ValueError("configuration must be a non-empty finite set of words")
     if any(w.rank != rank for w in words):
         raise ValueError("configuration words must match the stated rank")
-    gens = free_generators(rank)
-    inverse_of = [i ^ 1 for i in range(2 * rank)]
-    moves = [partial(_shift, g) for g in gens]
-    orbit = explore_orbit(
-        frozenset(words), moves, inside=lambda _w, depth: depth <= radius
-    )
-    return _orbit_graph(gens, inverse_of, orbit, _config_key)
+    return build_tree(2 * rank, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -151,6 +152,43 @@ def test_missing_key_in_input_json_is_invalid(argv, blob, key, tmp_path, capsys)
     assert cli.run(argv + [str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR:invalid:") and repr(key) in err[0]
+
+
+@pytest.mark.parametrize("argv, blob", [
+    (["cheeger", "--input"], [1, 2]),
+    (["return-prob", "--measure-file"], [1, 2]),
+    (["return-prob", "--measure-file"], {"variant": "free", "params": {"rank": 1}, "support": 5}),
+])
+def test_non_object_input_json_is_invalid(argv, blob, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(blob))
+    assert cli.run(argv + [str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR:invalid:")
+
+
+def test_bad_bernoulli_word_names_the_word_and_the_character(capsys):
+    assert cli.run(["bernoulli", "--config", "e,a1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR:invalid:word 'a1': '1' ")
+
+
+@pytest.mark.parametrize("subcommand, extra", [
+    ("tree-norm", ["--degree", "4", "--depth", "1000000000"]),
+    ("tree-norm", ["--degree", "4", "--depth", "1000000000", "--ladder"]),
+    ("bernoulli", ["--radius", "1000000000"]),
+])
+def test_radial_depth_over_budget_fails_before_allocating(subcommand, extra, capsys):
+    tracemalloc.start()
+    try:
+        code = cli.run([subcommand, *extra, "--no-timestamp"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR:budget:")
+    assert peak < 1 << 20
 
 
 def test_unknown_flag_is_usage_error():

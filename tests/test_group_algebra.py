@@ -1,5 +1,6 @@
 """Elements, measures, convolution, and the return-probability series."""
 
+import itertools
 import math
 import re
 
@@ -35,6 +36,25 @@ def test_free_word_constructor_rejects_unreduced():
     with pytest.raises(ValueError):
         sg.FreeWord(2, (1, -1))
     assert sg.free_word(2, [1, -1]) == sg.free_word(2, [])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_parse_word_inverts_element_label(rank):
+    letters = [s for i in range(1, rank + 1) for s in (i, -i)]
+    words = {sg.free_word(rank, w) for n in range(4) for w in itertools.product(letters, repeat=n)}
+    for word in words:
+        label = ga.element_label(word)
+        assert ga.parse_word(rank, label) == word
+        assert ga.element_label(ga.parse_word(rank, label)) == label
+    assert ga.parse_word(rank, "aA") == sg.free_word(rank, [])
+
+
+@pytest.mark.parametrize("text, bad", [("a1", "1"), ("ac", "c"), ("aé", "é"), ("a-b", "-")])
+def test_parse_word_names_the_word_and_the_bad_character(text, bad):
+    with pytest.raises(ValueError, match=re.escape(f"word {text!r}: {bad!r}")):
+        ga.parse_word(2, text)
+    with pytest.raises(ValueError):
+        ga.parse_word(2, "")
 
 
 def test_mat_mod_p_elementary_product():

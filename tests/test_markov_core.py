@@ -41,6 +41,15 @@ def test_construction_validates_rows_and_measure():
         sg.WeightedChain(["a", "b"], [1, 1], [(0, 1, 1.2), (1, 0, 1.0)], row_mode="substochastic")
 
 
+@pytest.mark.parametrize("p, mode, total", [
+    (0.7, "stochastic", "0.7"), (1.2, "substochastic", "1.2"), (float("inf"), "stochastic", "inf"),
+])
+def test_row_sum_errors_print_plain_floats(p, mode, total):
+    with pytest.raises(ValueError) as info:
+        sg.WeightedChain(["a", "b"], [1, 1], [(0, 1, p), (1, 0, 1.0)], row_mode=mode)
+    assert f"row 'a' sums to {total}" in str(info.value) and "np." not in str(info.value)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_weights_are_rejected_naming_the_state(bad):
     swap = [(0, 1, 1.0), (1, 0, 1.0)]

@@ -1,6 +1,7 @@
 """Compressions, radial quotients, tensor powers, and the expander bound."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 
 import sgaplab as sg
 from sgaplab import cli
+from sgaplab import group_algebra as ga
 from sgaplab import spectral_engine as se
+from sgaplab.errors import BudgetExceededError
 from sgaplab.spectral_engine import compressed_operator
+from sgaplab.walk_models import tree_ball_size
 
 from conftest import (
     cycle_chain,
@@ -193,6 +197,94 @@ def test_ladder_rejects_bad_radii_before_any_solve(monkeypatch, radii):
     monkeypatch.setattr(se, "_sparse_norm", no_solve)
     with pytest.raises(ValueError):
         sg.compression_ladder(graph, free_uniform_measure(2), radii)
+
+
+# ---------------------------------------------------------------------------
+# the radial reduction on regular trees
+# ---------------------------------------------------------------------------
+
+class _UniformOnGenerators:
+    """Uniform weights on a graph's generator labels.  Odd-degree trees are
+    labeled by abstract letters that no ProbMeasure family holds, and the
+    compression only reads `items()`."""
+
+    def __init__(self, generators):
+        self._items = [(g, 1.0 / len(generators)) for g in generators]
+
+    def items(self):
+        return self._items
+
+
+@pytest.mark.parametrize("d, depth", [(3, 9), (4, 7), (6, 5), (2, 100)])
+def test_tree_ball_ladder_matches_the_graph_ladder(d, depth):
+    graph = sg.build_tree(d, depth)
+    radii = list(range(depth + 1))
+    want = sg.compression_ladder(graph, _UniformOnGenerators(graph.generators), radii)
+    got = sg.tree_ball_ladder(d, radii)
+    assert got.radii == want.radii
+    assert got.norms == pytest.approx(want.norms, rel=1e-12, abs=0.0)
+    assert got.norms[0] == 0.0
+    assert got.limit_claim == 2.0 * math.sqrt(d - 1) / d
+    if d == 2:
+        assert got.norms[-1] == pytest.approx(math.cos(math.pi / 202), rel=1e-12)
+
+
+@pytest.mark.parametrize("d, radii", [(4, []), (4, [0, 2, 2]), (4, [0, 3, 1]), (4, [-1, 0]), (1, [2])])
+def test_tree_ball_ladder_validation(d, radii):
+    with pytest.raises(ValueError):
+        sg.tree_ball_ladder(d, radii)
+
+
+def test_tree_ball_ladder_budget_counts_rows_over_all_radii(monkeypatch):
+    monkeypatch.setattr(se, "RADIAL_ROWS_BUDGET", 10)
+    assert sg.tree_ball_ladder(4, [9]).radii == (9,)
+    assert sg.tree_ball_ladder(4, [0, 2, 5]).radii == (0, 2, 5)
+    for radii in ([10], [0, 3, 5], itertools.count()):
+        with pytest.raises(BudgetExceededError):
+            sg.tree_ball_ladder(4, radii)
+
+
+def _word_set_orbit(rank, config, radius):
+    """The shift action on configurations, enumerated word set by word set:
+    the graph path that the radial reduction replaced, kept as its oracle."""
+    gens = ga.free_generators(rank)
+    moves = [lambda c, g=g: frozenset(ga.mul(g, w) for w in c) for g in gens]
+    points, edges, stubs = ga.explore_orbit(
+        frozenset(config), moves, inside=lambda _c, depth: depth <= radius
+    )
+    return sg.LabeledGraph(
+        len(points), gens, [ga.element_label(g) for g in gens], [i ^ 1 for i in range(2 * rank)],
+        *edges, *stubs,
+    )
+
+
+@pytest.mark.parametrize("rank, config", [
+    (1, "e"), (1, "e,a"), (1, "e,a,aa"),
+    (2, "e"), (2, "e,a"), (2, "e,a,ab"),
+    (3, "e"), (3, "e,a"), (3, "e,a,ab"),
+])
+def test_word_set_orbit_is_the_tree_ball(rank, config):
+    words = [ga.parse_word(rank, name) for name in config.split(",")]
+    mu = free_uniform_measure(rank)
+    jacobi = sg.tree_ball_ladder(2 * rank, range(5)).norms
+    for radius in range(5):
+        orbit = _word_set_orbit(rank, words, radius)
+        assert orbit.n_vertices == tree_ball_size(2 * rank, radius)
+        assert sg.compressed_norm(orbit, mu, radius) == pytest.approx(
+            jacobi[radius], rel=1e-12, abs=1e-15
+        )
+
+
+@pytest.mark.parametrize("d, lam, depth", [(3, 0.5, 10), (4, 0.9, 40), (6, 0.99, 200)])
+def test_radial_rayleigh_is_the_jacobi_rayleigh_quotient(d, lam, depth):
+    x = lam / math.sqrt(d - 1)
+    f = np.array([x**k * math.sqrt(tree_ball_size(d, k) - tree_ball_size(d, k - 1) if k else 1)
+                  for k in range(depth + 1)])
+    off = np.array([math.sqrt(d) / d] + [math.sqrt(d - 1) / d] * (depth - 1))
+    quotient = 2.0 * float(off @ (f[:-1] * f[1:])) / float(f @ f)
+    got = sg.radial_rayleigh(d, lam, depth)
+    assert got == pytest.approx(quotient, rel=1e-13)
+    assert got <= sg.tree_ball_ladder(d, [depth]).norms[0]
 
 
 # ---------------------------------------------------------------------------
