@@ -90,6 +90,7 @@ from .expanders import (
     MemberRecord,
     build_family,
     expanding_constant_report,
+    u_block,
 )
 from .lyapunov import (
     LyapunovEstimate,

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
@@ -313,6 +314,25 @@ def _run_torus(args) -> int:
     return _emit(args, params, result, [("radius", "norm"), *zip(ladder.radii, ladder.norms)], lines)
 
 
+def _require_printable_ball(d: int, radius: int) -> None:
+    """Fail before the solve if the vertex count of the radius ball of the
+    d-regular tree has more decimal digits than the interpreter converts to
+    str (sys.get_int_max_str_digits(); 0 means no limit)."""
+    from .errors import BudgetExceededError
+    from .walk_models import tree_ball_size
+
+    limit = sys.get_int_max_str_digits()
+    if not limit or radius < 0 or d < 3:
+        return
+    # the count is at least (d - 1)^radius: the float test settles huge radii
+    # without building the integer, the exact one the rest
+    if radius * math.log10(d - 1) > limit + 1 or tree_ball_size(d, radius) >= 10**limit:
+        raise BudgetExceededError(
+            f"bernoulli radius {radius}: the orbit ball's vertex count has more "
+            f"than {limit} decimal digits, the interpreter's int-to-str limit"
+        )
+
+
 def _run_bernoulli(args) -> int:
     from . import group_algebra as ga
     from . import spectral_engine as se
@@ -323,6 +343,7 @@ def _run_bernoulli(args) -> int:
         raise ValueError("configuration must be a non-empty finite set of words")
     for name in names:
         ga.parse_word(args.rank, name)
+    _require_printable_ball(2 * args.rank, args.radius)
     # the orbit ball is the Cayley ball (see walk_models.build_bernoulli_schreier)
     norm = se.tree_ball_ladder(2 * args.rank, [args.radius]).norms[0]
     vertices = wm.tree_ball_size(2 * args.rank, args.radius)

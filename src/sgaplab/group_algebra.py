@@ -181,6 +181,8 @@ class MatModP:
 
 
 def mat_mod_p(p: int, entries) -> MatModP:
+    if not _is_prime(p):  # before reducing, which divides by p
+        raise ValueError(f"modulus {p} is not prime")
     rows = _int_rows(entries)
     return MatModP(p, tuple(tuple(x % p for x in row) for row in rows))
 

@@ -29,7 +29,8 @@ ITER_RESIDUAL_TOL = 1e-10
 class WeightedChain:
     """State space with positive weights m and a sparse (sub)stochastic kernel.
 
-    `transitions` is a sparse list of (i, j, p) with p > 0; rows must sum to 1
+    `transitions` is a sparse list of (i, j, p) with p > 0, or a k x 3 float
+    array of the same rows; rows must sum to 1
     (stochastic) or at most 1 (substochastic) within 1e-12.  Instances are
     immutable; detailed balance is a checked property, not a constructor
     requirement, so defective chains can still be diagnosed.
@@ -57,19 +58,25 @@ class WeightedChain:
                 f"state {self.states[bad[0]]!r} has weight {float(m[bad[0]])}; "
                 "weights must be positive and finite"
             )
-        trans = [(int(i), int(j), float(p)) for i, j, p in transitions]
-        src = np.array([t[0] for t in trans], dtype=np.int64)
-        dst = np.array([t[1] for t in trans], dtype=np.int64)
-        prob = np.array([t[2] for t in trans], dtype=float)
-        if trans:
-            if src.min() < 0 or src.max() >= n or dst.min() < 0 or dst.max() >= n:
-                raise ValueError("transition index out of range")
-        if not np.all(prob > 0.0):  # also rejects NaN
+        t = np.array(
+            transitions if isinstance(transitions, np.ndarray) else list(transitions),
+            dtype=float,
+        )
+        if t.size == 0:
+            t = t.reshape(0, 3)
+        if t.ndim != 2 or t.shape[1] != 3:
+            raise ValueError("transitions must be (i, j, p) triples")
+        # min and max are NaN if any entry is, so the checks reject NaN too
+        if t.size and not (t[:, :2].min() >= 0 and t[:, :2].max() < n):
+            raise ValueError("transition index out of range")
+        if t.size and not t[:, 2].min() > 0.0:
             raise ValueError("transition probabilities must be positive")
-        if len(set(zip(src.tolist(), dst.tolist()))) != len(trans):
+        src = t[:, 0].astype(np.int64)
+        dst = t[:, 1].astype(np.int64)
+        prob = np.ascontiguousarray(t[:, 2])
+        if np.unique(src * n + dst).size != src.size:
             raise ValueError("duplicate (i, j) transition")
-        row_sum = np.zeros(n)
-        np.add.at(row_sum, src, prob)
+        row_sum = np.bincount(src, weights=prob, minlength=n)
         if row_mode == "stochastic":
             if np.any(np.abs(row_sum - 1.0) > ROW_SUM_TOL):
                 bad = int(np.argmax(np.abs(row_sum - 1.0)))
@@ -150,17 +157,13 @@ class SpectralReport:
 # ---------------------------------------------------------------------------
 
 def check_detailed_balance(chain: WeightedChain) -> float:
-    """Max |m(i) p_ij - m(j) p_ji| over all stored pairs (0 means reversible)."""
-    flow: dict[tuple[int, int], float] = {}
-    m = chain.measure
-    for i, j, p in zip(chain.src.tolist(), chain.dst.tolist(), chain.prob.tolist()):
-        flow[(i, j)] = m[i] * p
-    worst = 0.0
-    for (i, j), f in flow.items():
-        if i == j:
-            continue
-        worst = max(worst, abs(f - flow.get((j, i), 0.0)))
-    return float(worst)
+    """Max |m(i) p_ij - m(j) p_ji| over all stored pairs (0 means reversible);
+    a pair stored one way only counts |m(i) p_ij|."""
+    src, dst = chain.src, chain.dst
+    # flows signed by direction, summed per unordered pair {i, j}
+    flow = np.sign(dst - src) * (chain.measure[src] * chain.prob)
+    _, pair = np.unique(np.minimum(src, dst) * chain.n + np.maximum(src, dst), return_inverse=True)
+    return float(np.abs(np.bincount(pair, weights=flow)).max(initial=0.0))
 
 
 def require_reversible(chain: WeightedChain, tol: float = REVERSIBILITY_TOL) -> None:

@@ -514,16 +514,18 @@ def graph_to_simple_walk_chain(graph: LabeledGraph) -> WeightedChain:
     """Simple random walk on the realized edges: m = out-degree and each edge
     gets probability 1/degree (parallel labels accumulate)."""
     n = graph.n_vertices
-    degree = np.zeros(n, dtype=np.int64)
-    np.add.at(degree, graph.edge_src, 1)
+    degree = np.bincount(graph.edge_src, minlength=n)
     if np.any(degree == 0):
         raise ValueError("every vertex needs at least one realized edge")
-    weight: dict[tuple[int, int], float] = {}
-    for i, j in zip(graph.edge_src.tolist(), graph.edge_dst.tolist()):
-        key = (i, j)
-        weight[key] = weight.get(key, 0.0) + 1.0 / degree[i]
-    trans = [(i, j, p) for (i, j), p in weight.items()]
-    labels = [graph.label_of(v) for v in range(n)] if graph.labels is not None else [str(v) for v in range(n)]
+    keys, first, pair = np.unique(
+        graph.edge_src * n + graph.edge_dst, return_index=True, return_inverse=True
+    )
+    # bincount adds in edge order, and the pairs go out in first-visit order
+    weight = np.bincount(pair, weights=1.0 / degree[graph.edge_src])
+    order = np.argsort(first)
+    keys = keys[order]
+    trans = np.column_stack([keys // n, keys % n, weight[order]])
+    labels = graph.labels if graph.labels is not None else range(n)
     return WeightedChain(labels, degree.astype(float), trans, row_mode="stochastic")
 
 

@@ -12,6 +12,7 @@ import pytest
 import sgaplab as sg
 from sgaplab import cli
 from sgaplab.errors import ConvergenceError
+from sgaplab.walk_models import tree_ball_size
 
 
 def run_cli(*argv: str):
@@ -189,6 +190,18 @@ def test_radial_depth_over_budget_fails_before_allocating(subcommand, extra, cap
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR:budget:")
     assert peak < 1 << 20
+
+
+def test_bernoulli_vertex_count_past_the_str_digit_limit_is_a_budget_error(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert limit > 0
+    radius = next(r for r in range(1, 100_000) if tree_ball_size(4, r) >= 10**limit)
+    assert cli.run(["bernoulli", "--radius", str(radius - 1), "--format", "csv"]) == 0
+    capsys.readouterr()
+    for r in (radius, 10_000):
+        assert cli.run(["bernoulli", "--radius", str(r), "--no-timestamp"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ERROR:budget:bernoulli radius {r}:")
 
 
 def test_unknown_flag_is_usage_error():

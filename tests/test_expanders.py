@@ -1,14 +1,16 @@
 """Expander family certificates from congruence quotients."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 import sgaplab as sg
 from sgaplab import cli
-from sgaplab.errors import BudgetExceededError
-from sgaplab.expanders import MemberRecord, build_member_graph
+from sgaplab import expanders as ex
+from sgaplab.errors import BudgetExceededError, ConvergenceError
+from sgaplab.expanders import MemberRecord, build_member_graph, u_block
 
 
 def test_member_graph_orders_and_regularity():
@@ -79,3 +81,88 @@ def test_certificate_serialization(tmp_path):
     assert csv_lines[0] == "p,order,lambda_1,gap_bound"
     assert len(csv_lines) == 2
     assert csv_lines[1].split(",")[:2] == ["3", "24"]
+
+
+# ---------------------------------------------------------------------------
+# the U-block reduction of SL_2(F_p), p odd
+# ---------------------------------------------------------------------------
+
+def _block_spectrum(p, k):
+    """The spectrum of block k: its real form's, with the doubling undone."""
+    theta = np.linalg.eigvalsh(u_block(p, k).toarray())
+    assert np.max(np.abs(theta[0::2] - theta[1::2])) <= 1e-12
+    return theta[0::2]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_union_of_all_blocks_is_the_cayley_spectrum(p):
+    blocks = np.sort(np.concatenate([_block_spectrum(p, k) for k in range(p)]))
+    theta, _ = sg.chain_spectrum(sg.graph_to_simple_walk_chain(build_member_graph(2, p)))
+    assert blocks.size == sg.special_linear_order(2, p)
+    assert np.max(np.abs(blocks - np.sort(theta))) <= 1e-12
+
+
+def test_blocks_k_and_k_times_a_square_are_isospectral():
+    p = 13
+    spectra = {k: _block_spectrum(p, k) for k in range(1, p)}
+    for k in range(1, p):
+        for a in range(2, p):
+            assert np.max(np.abs(spectra[k] - spectra[k * a * a % p])) <= 1e-12
+    # the residues and the non-residues are the two classes, and they differ
+    assert np.max(np.abs(spectra[1] - spectra[2])) > 1e-3
+
+
+def test_blocks_are_exactly_symmetric_and_block_zero_is_stochastic():
+    for p in (3, 11, 29):
+        n = p * p - 1
+        for k in range(p):
+            block = u_block(p, k)
+            assert block.shape == (2 * n, 2 * n)
+            assert abs(block - block.T).max() == 0.0
+        b0 = u_block(p, 0)
+        assert abs(b0[:n, n:]).max() == 0.0
+        assert np.array_equal(np.asarray(b0[:n, :n].sum(axis=1)).ravel(), np.ones(n))
+
+
+def test_block_family_matches_the_graph_path():
+    primes = [3, 5, 7, 11, 13, 17]
+    cert = sg.build_family(2, primes)
+    for rec in cert.members:
+        chain = sg.graph_to_simple_walk_chain(build_member_graph(2, rec.prime))
+        lam = sg.lambda1(chain).estimate
+        norm = sg.operator_norm_l20(chain).estimate
+        assert rec.method == "u-blocks"
+        assert rec.order == chain.n and rec.degree == 4 and rec.h_exact is None
+        assert abs(rec.lambda_1 - lam) <= 1e-12 * lam
+        assert abs(rec.norm_l20 - norm) <= 1e-12 * norm
+
+
+def test_block_path_budget_and_moduli():
+    with pytest.raises(BudgetExceededError, match="1018080 nonzero vectors"):
+        sg.build_family(2, [1009])  # p^2 - 1 over CAYLEY_BUDGET, before any block
+    for bad in (9, 1, 0, -3):
+        with pytest.raises(ValueError, match=f"modulus {bad} is not prime"):
+            sg.build_family(2, [bad])
+
+
+def test_twisted_block_residual_failure_names_stage_block_and_size(monkeypatch):
+    monkeypatch.setattr(ex, "ITER_RESIDUAL_TOL", 0.0)
+    with pytest.raises(ConvergenceError, match=r"u-block k=1 of SL_2\(F_23\) \(1056 rows\)"):
+        sg.build_family(2, [23])
+
+
+def test_expanders_cli_routes_p2_through_the_graph(capsys):
+    assert cli.run(["expanders", "--n", "2", "--primes", "2,3", "--no-timestamp"]) == 0
+    members = json.loads(capsys.readouterr().out)["result"]["members"]
+    assert [(m["prime"], m["order"], m["method"]) for m in members] == [
+        (2, 6, "dense"), (3, 24, "u-blocks"),
+    ]
+    assert members[0]["h_exact"] is not None and members[1]["h_exact"] is None
+
+
+def test_expanders_cli_p97(capsys):
+    assert cli.run(["expanders", "--n", "2", "--primes", "97", "--no-timestamp"]) == 0
+    (member,) = json.loads(capsys.readouterr().out)["result"]["members"]
+    assert member["order"] == 97 * (97 * 97 - 1) and member["method"] == "u-blocks"
+    assert 0.0 < member["gap_bound"] <= member["lambda_1"]
+    assert member["lambda_1"] == pytest.approx(0.0342577608, abs=1e-10)

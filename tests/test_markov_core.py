@@ -1,6 +1,7 @@
 """Weighted chains, detailed balance, and the spectral operations."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,39 @@ def test_detailed_balance_values():
     assert type(sg.check_detailed_balance(halfline)) is float
     with pytest.raises(NotReversibleError):
         sg.lambda1(lopsided)
+
+
+def test_detailed_balance_counts_a_missing_reverse_pair_as_its_flow():
+    one_way = sg.WeightedChain(
+        ["a", "b", "c"], [2.0, 1.0, 1.0], [(0, 1, 0.25), (1, 0, 0.5), (1, 2, 0.5), (2, 2, 0.75)],
+        row_mode="substochastic",
+    )
+    assert sg.check_detailed_balance(one_way) == 0.5  # m(b) p(b, c), no (c, b)
+    assert sg.check_detailed_balance(sg.WeightedChain(["a"], [1.0], [], row_mode="substochastic")) == 0.0
+
+
+def test_transitions_accept_arrays_and_keep_their_error_texts():
+    rows = [(0, 1, 1.0), (1, 0, 0.5), (1, 1, 0.5)]
+    a = sg.WeightedChain(["0", "1"], [0.5, 1.0], rows)
+    b = sg.WeightedChain(["0", "1"], [0.5, 1.0], np.array(rows))
+    c = sg.WeightedChain(["0", "1"], [0.5, 1.0], iter(rows))
+    for other in (b, c):
+        assert chain_to_json(other) == chain_to_json(a)
+        assert other.src.dtype == np.int64 and other.prob.flags.c_contiguous
+    bad = {
+        "duplicate (i, j) transition": [(0, 1, 0.5), (0, 1, 0.5), (1, 0, 1.0)],
+        "transition index out of range": [(0, 2, 1.0), (1, 0, 1.0)],
+        "transition probabilities must be positive": [(0, 1, 1.0), (1, 0, 0.0)],
+        "triples": [(0, 1), (1, 0)],
+    }
+    for text, trans in bad.items():
+        with pytest.raises(ValueError, match=re.escape(text)):
+            sg.WeightedChain(["0", "1"], [1.0, 1.0], trans)
+    for nan_at in (0, 2):
+        row = [0, 1, 1.0]
+        row[nan_at] = float("nan")
+        with pytest.raises(ValueError):
+            sg.WeightedChain(["0", "1"], [1.0, 1.0], [tuple(row), (1, 0, 1.0)])
 
 
 def test_apply_markov_basics():

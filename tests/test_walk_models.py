@@ -264,6 +264,19 @@ def test_simple_walk_conversion_detailed_balance():
     assert sorted(set(walk.measure.tolist())) == [1.0, 4.0]
 
 
+def test_simple_walk_conversion_sums_parallel_edges_in_first_visit_order():
+    # generators mod 2 repeat (E_ij = E_ij^-1), so every edge is doubled
+    for graph in (sg.build_cayley(sg.elementary_generators(2, 2)), sg.build_tree(3, 4)):
+        degree = np.bincount(graph.edge_src)
+        weight = {}
+        for i, j in zip(graph.edge_src.tolist(), graph.edge_dst.tolist()):
+            weight[(i, j)] = weight.get((i, j), 0.0) + 1.0 / degree[i]
+        chain = sg.graph_to_simple_walk_chain(graph)
+        got = list(zip(chain.src.tolist(), chain.dst.tolist(), chain.prob.tolist()))
+        assert got == [(i, j, p) for (i, j), p in weight.items()]
+        assert chain.measure.tolist() == degree.astype(float).tolist()
+
+
 def test_edge_list_export_round_shape():
     graph = sg.build_torus_schreier(sg.sanov_generators(), (1, 0), 3)
     text = graph_to_edge_list_text(graph)
