@@ -69,6 +69,8 @@ class WeightedChain:
         # min and max are NaN if any entry is, so the checks reject NaN too
         if t.size and not (t[:, :2].min() >= 0 and t[:, :2].max() < n):
             raise ValueError("transition index out of range")
+        if np.any(t[:, :2] != np.trunc(t[:, :2])):
+            raise ValueError("transition indices must be integers")
         if t.size and not t[:, 2].min() > 0.0:
             raise ValueError("transition probabilities must be positive")
         src = t[:, 0].astype(np.int64)
@@ -127,14 +129,16 @@ class WeightedChain:
 class SpectralReport:
     """Eigenvalue/norm estimate with convergence diagnostics.
 
-    `method` "dense" is a full eigendecomposition (iterations 1, residual 0);
-    "lanczos" is ARPACK on the constants-deflated kernel, with iterations the
-    operator products and residual that of the Ritz pair behind the estimate.
+    `method` is the path `extremal_eigs` took: "dense" (a full `eigh`,
+    iterations 1) or "lanczos" (ARPACK on the constants-deflated kernel,
+    iterations the operator products).  For both, `residual` is
+    ||S x - theta x|| of the unit eigenpair (theta, x) behind the estimate,
+    at most ITER_RESIDUAL_TOL, and `certified_lower` is, per quantity:
 
-    For sup-type quantities (operator norms) `certified_lower` is a Rayleigh
-    quotient and therefore a true lower bound on the target.  For the gap
-    lambda_1 the estimate itself approaches from above and `certified_lower`
-    is the Weyl interval endpoint estimate - residual.
+    - lambda_1 = 1 - theta: max(0, estimate - residual), the lower end of
+      the Weyl interval around the eigenvalue theta approximates;
+    - norm_l20 = |theta|: min(||S x||, estimate + residual), a Rayleigh-type
+      lower bound on the norm since x is orthogonal to the constants.
     """
 
     estimate: float
@@ -236,20 +240,26 @@ def chain_spectrum(chain: WeightedChain) -> tuple[np.ndarray, np.ndarray]:
 def extremal_eigs(
     op: sp.spmatrix,
     which: str,
-    k: int,
     v0: np.ndarray,
     deflate: np.ndarray | None = None,
     *,
     stage: str,
     vectors: bool = True,
 ) -> tuple[float, np.ndarray | None, float | None, int]:
-    """(value, unit Ritz vector, residual ||A x - value x||, operator products)
-    from ARPACK `eigsh` for k Ritz values of the symmetric `op`, `which` in
-    "LA" (value is the largest) or "LM", "BE" (value has the largest modulus).
+    """(value, unit eigenvector, residual ||A x - value x||, operator
+    products counting the residual's) for the symmetric `op`, `which` in
+    "LA" (value is the largest eigenvalue) or "LM", "BE" (value has the
+    largest modulus).
 
-    `deflate`, a unit eigenvector of `op` with eigenvalue 1, is shifted to 0,
-    or below the spectrum [-1, 1] for "LA".  Without `vectors`, vector and
-    residual are None and ARPACK keeps the Ritz values it converged to.
+    The one solver switch of the package: up to DENSE_LIMIT rows a full
+    `eigh` of the dense matrix, beyond it ARPACK Lanczos for one Ritz pair
+    from `v0`.  `deflate`, a unit eigenvector of `op` with
+    eigenvalue 1, is left out: the dense path drops the eigenpair most
+    aligned with it, the Lanczos path shifts it to 0, or below the spectrum
+    [-1, 1] for "LA".  A returned vector is checked: a residual above
+    ITER_RESIDUAL_TOL raises ConvergenceError naming the stage and the size.
+    Without `vectors`, vector and residual are None and ARPACK keeps the Ritz
+    values it converged to.
     """
     n = op.shape[0]
     shift = 3.0 if which == "LA" else 1.0
@@ -262,105 +272,76 @@ def extremal_eigs(
         y = op @ x
         return y if deflate is None else y - (shift * (deflate @ x)) * deflate
 
-    lin = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    try:
-        out = spla.eigsh(lin, k=k, which=which, v0=v0, return_eigenvectors=vectors)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"{stage}: Lanczos (which={which}, k={k}) did not converge on "
-            f"{n} states after {products} products: {exc}"
-        ) from None
-    theta, vecs = out if vectors else (out, None)
+    if n <= DENSE_LIMIT:
+        method = "dense"
+        theta, vecs = np.linalg.eigh(op.toarray())
+        if deflate is not None:
+            drop = int(np.argmax(np.abs(deflate @ vecs)))
+            theta, vecs = np.delete(theta, drop), np.delete(vecs, drop, axis=1)
+    else:
+        method = "Lanczos"
+        lin = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+        try:
+            # one Ritz pair: Cayley-graph eigenvalues repeat (at least
+            # (p - 1) / 2 times for SL_2(F_p)), and Lanczos only makes the
+            # copies that more pairs wait for out of rounding
+            out = spla.eigsh(lin, k=1, which=which, v0=v0, return_eigenvectors=vectors)
+        except spla.ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                f"{stage}: Lanczos (which={which}) did not converge on "
+                f"{n} states after {products} products: {exc}"
+            ) from None
+        theta, vecs = out if vectors else (out, None)
     pick = int(np.argmax(theta if which == "LA" else np.abs(theta)))
     value = float(theta[pick])
-    if vecs is None:
+    if not vectors:
         return value, None, None, products
     x = vecs[:, pick]
-    return value, x, float(np.linalg.norm(matvec(x) - value * x)), products
+    res = float(np.linalg.norm(matvec(x) - value * x))
+    if res > ITER_RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"{stage}: {method} (which={which}) residual {res:.2e} exceeds "
+            f"{ITER_RESIDUAL_TOL:.0e} on {n} states"
+        )
+    return value, x, res, products
+
+
+def _off_constants(chain: WeightedChain, which: str, stage: str):
+    """`extremal_eigs` of the symmetrized kernel of a connected reversible
+    stochastic chain, with the constants deflated, from a fixed start."""
+    if chain.row_mode != "stochastic":
+        raise ValueError(f"{stage} needs a stochastic chain")
+    _require_connected(chain)
+    require_reversible(chain)
+    if chain.n == 1:
+        raise ValueError(f"{stage}: the complement of constants is trivial for one state")
+    unit = np.sqrt(chain.measure)
+    unit /= np.linalg.norm(unit)
+    v0 = np.cos(np.arange(1, chain.n + 1) * 0.7) + 0.1
+    return extremal_eigs(chain.symmetrized, which, v0, deflate=unit, stage=stage)
+
+
+def _report(estimate: float, certified: float, res: float, products: int, n: int) -> SpectralReport:
+    method = "dense" if n <= DENSE_LIMIT else "lanczos"
+    return SpectralReport(estimate, certified, products, res, method)
 
 
 def lambda1(chain: WeightedChain) -> SpectralReport:
     """Smallest non-zero eigenvalue of the Laplacian I - M on the m-orthogonal
-    complement of constants.  Dense solve up to 512 states, ARPACK Lanczos on
-    the constants-deflated operator beyond."""
-    if chain.row_mode != "stochastic":
-        raise ValueError("lambda1 needs a stochastic chain")
-    _require_connected(chain)
-    require_reversible(chain)
-    if chain.n == 1:
-        raise ValueError("lambda1 is undefined for a single-state chain")
-    if chain.n <= DENSE_LIMIT:
-        theta, funcs = chain_spectrum(chain)
-        lam = 1.0 - float(theta[1])
-        f = funcs[:, 1]
-        rq = dirichlet_form(chain, f) / m_inner(chain, f, f)
-        return SpectralReport(
-            estimate=lam,
-            certified_lower=min(lam, rq),
-            iterations=1,
-            residual=0.0,
-            method="dense",
-        )
-    theta, _x, res, products = _lanczos(chain, "LA", "lambda1")
+    complement of constants: one minus the top eigenvalue of the
+    constants-deflated kernel."""
+    theta, _x, res, products = _off_constants(chain, "LA", "lambda1")
     lam = 1.0 - theta
-    return SpectralReport(
-        estimate=lam,
-        certified_lower=max(0.0, lam - res),
-        iterations=products,
-        residual=res,
-        method="lanczos",
-    )
+    return _report(lam, max(0.0, lam - res), res, products, chain.n)
 
 
 def operator_norm_l20(chain: WeightedChain) -> SpectralReport:
     """Norm of the Markov operator restricted to the m-orthogonal complement
     of the constants (max |eigenvalue| there, by self-adjointness)."""
-    if chain.row_mode != "stochastic":
-        raise ValueError("operator_norm_l20 needs a stochastic chain")
-    _require_connected(chain)
-    require_reversible(chain)
-    if chain.n == 1:
-        raise ValueError("the complement of constants is trivial for one state")
-    if chain.n <= DENSE_LIMIT:
-        theta, _ = chain_spectrum(chain)
-        norm = max(abs(float(theta[1])), abs(float(theta[-1])))
-        return SpectralReport(
-            estimate=norm,
-            certified_lower=norm,
-            iterations=1,
-            residual=0.0,
-            method="dense",
-        )
-    theta, x, res, products = _lanczos(chain, "LM", "operator_norm_l20")
+    theta, x, res, products = _off_constants(chain, "LM", "operator_norm_l20")
     est = abs(theta)
     certified = float(np.linalg.norm(chain.symmetrized @ x))
-    return SpectralReport(
-        estimate=est,
-        certified_lower=min(certified, est + res),
-        iterations=products,
-        residual=res,
-        method="lanczos",
-    )
-
-
-def _lanczos(chain: WeightedChain, which: str, stage: str):
-    """`extremal_eigs` on the symmetrized kernel with the constants deflated,
-    from a fixed start vector."""
-    unit = np.sqrt(chain.measure)
-    unit /= np.linalg.norm(unit)
-    v0 = np.cos(np.arange(1, chain.n + 1) * 0.7) + 0.1
-    # k = 1: Cayley-graph eigenvalues repeat (at least (p - 1) / 2 times for
-    # SL_2(F_p)), and Lanczos only makes the copies that a larger k waits for
-    # out of rounding.
-    return extremal_eigs(chain.symmetrized, which, 1, v0, deflate=unit, stage=stage)
-
-
-def require_converged(report: SpectralReport) -> SpectralReport:
-    if report.residual > ITER_RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"{report.method} residual {report.residual:.2e} exceeds {ITER_RESIDUAL_TOL:.0e}"
-        )
-    return report
+    return _report(est, min(certified, est + res), res, products, chain.n)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ Compressions restrict the averaging operator to vertices within a graph
 distance of the basepoint, so every value is a certified lower bound on the
 full operator norm and is non-decreasing in the radius.  A compression of a
 symmetric probability measure is symmetric and non-negative, so its norm is
-its Perron eigenvalue: one Lanczos Ritz value above DENSE_NORM_LIMIT rows.
+its Perron eigenvalue; any other compression A is normed through its
+symmetric dilation (0, A; A^T, 0).  Either way the norm is one top
+eigenvalue from `markov_core.extremal_eigs`, which picks the solver.
 
 On a regular tree that Perron vector is unique, so every automorphism fixing
 the root fixes it: it is radial, and the norm of a ball of radius r is the top
@@ -31,14 +33,12 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import BudgetExceededError
 from .group_algebra import ProbMeasure
 from .markov_core import WeightedChain, extremal_eigs, lambda1, operator_norm_l20
 from .walk_models import LabeledGraph
 
-DENSE_NORM_LIMIT = 400
 TENSOR_DIM_CAP = 4096
 UNITARY_TOL = 1e-10
 # Start-vector entry on a ladder's new sphere: far below the entries of the
@@ -106,34 +106,33 @@ def _sparse_norm(
     v0: np.ndarray | None = None,
     *,
     symmetric: bool | None = None,
-    vectors: bool = False,
+    vectors: bool = True,
 ) -> tuple[float, np.ndarray | None]:
     """(norm, Perron vector) of a compression; the vector is None unless
-    `vectors` is set and the symmetric Lanczos path ran.
+    `vectors` is set and the compression is symmetric.
 
     A symmetric compression of a probability measure is entrywise
-    non-negative, so its norm is its largest eigenvalue (Perron-Frobenius)
-    and one "LA" Ritz value from `v0` (default: the unit constant vector)
-    finds it.  `symmetric`, when known, saves the check.
+    non-negative, so its norm is its largest eigenvalue (Perron-Frobenius),
+    one "LA" value of `extremal_eigs` from `v0` (default: the unit constant
+    vector).  Any other A goes through its symmetric dilation
+    (0, A; A^T, 0), whose largest eigenvalue is ||A||.  `symmetric`, when
+    known, saves the check.
     """
     n = a.shape[0]
     if n == 0:
         raise ValueError("empty compression")
     if a.nnz == 0:
         return 0.0, None
-    if n <= DENSE_NORM_LIMIT:
-        return float(np.linalg.norm(a.toarray(), 2)), None
-    if v0 is None:
-        v0 = np.ones(n) / math.sqrt(n)
     if symmetric is None:
         symmetric = (a != a.T).nnz == 0
-    if symmetric:
-        value, x, _res, _products = extremal_eigs(
-            a, "LA", 1, v0, stage="compressed_norm", vectors=vectors
-        )
-        return value, x
-    sigma = spla.svds(a, k=1, v0=v0, return_singular_vectors=False, maxiter=10_000)
-    return float(sigma[0]), None
+    if not symmetric:
+        a, v0 = sp.bmat([[None, a], [a.T, None]], format="csr"), None
+    if v0 is None:
+        v0 = np.ones(a.shape[0]) / math.sqrt(a.shape[0])
+    value, x, _res, _products = extremal_eigs(
+        a, "LA", v0, stage=f"compressed_norm ({n} rows)", vectors=vectors
+    )
+    return value, x if symmetric else None
 
 
 def compressed_norm(graph: LabeledGraph, mu: ProbMeasure, radius: int) -> float:

@@ -68,7 +68,6 @@ class LabeledGraph:
         stub_gen=(),
         basepoint: int = 0,
         labels: Sequence[str] | None = None,
-        validate: bool = True,
     ):
         self.n_vertices = int(n_vertices)
         self.generators = tuple(generators)
@@ -83,8 +82,7 @@ class LabeledGraph:
         self.labels = tuple(labels) if labels is not None else None
         for a in (self.edge_src, self.edge_dst, self.edge_gen, self.stub_src, self.stub_gen):
             a.setflags(write=False)
-        if validate:
-            validate_labeled_graph(self)
+        validate_labeled_graph(self)
 
     @property
     def n_generators(self) -> int:

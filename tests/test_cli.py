@@ -168,6 +168,15 @@ def test_non_object_input_json_is_invalid(argv, blob, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("ERROR:invalid:")
 
 
+def test_non_integral_transition_index_in_input_json_is_invalid(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"states": ["a", "b"], "measure": [1.0, 1.0],
+                                "transitions": [[0.7, 1, 1.0], [1, 0.2, 1.0]]}))
+    assert cli.run(["cheeger", "--input", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ERROR:invalid:transition indices must be integers"]
+
+
 def test_bad_bernoulli_word_names_the_word_and_the_character(capsys):
     assert cli.run(["bernoulli", "--config", "e,a1"]) == 1
     err = capsys.readouterr().err.splitlines()

@@ -8,7 +8,7 @@ import pytest
 
 import sgaplab as sg
 from sgaplab import cli
-from sgaplab import expanders as ex
+from sgaplab import markov_core
 from sgaplab.errors import BudgetExceededError, ConvergenceError
 from sgaplab.expanders import MemberRecord, build_member_graph, u_block
 
@@ -146,7 +146,15 @@ def test_block_path_budget_and_moduli():
 
 
 def test_twisted_block_residual_failure_names_stage_block_and_size(monkeypatch):
-    monkeypatch.setattr(ex, "ITER_RESIDUAL_TOL", 0.0)
+    eigsh = markov_core.spla.eigsh
+
+    def tilted_on_twisted_blocks(op, **kwargs):
+        theta, vecs = eigsh(op, **kwargs)
+        if op.shape[0] == 1056:  # 2 (23^2 - 1): a twisted block, not block 0
+            vecs = vecs + 1e-6
+        return theta, vecs
+
+    monkeypatch.setattr(markov_core.spla, "eigsh", tilted_on_twisted_blocks)
     with pytest.raises(ConvergenceError, match=r"u-block k=1 of SL_2\(F_23\) \(1056 rows\)"):
         sg.build_family(2, [23])
 

@@ -11,12 +11,11 @@ from sgaplab import markov_core
 from sgaplab.errors import ConvergenceError, DisconnectedChainError, NotReversibleError
 from sgaplab.markov_core import (
     ITER_RESIDUAL_TOL,
-    _lanczos,
+    _off_constants,
     chain_from_json,
     chain_to_json,
     dirichlet_form,
     m_inner,
-    require_converged,
 )
 
 from conftest import (
@@ -119,6 +118,11 @@ def test_apply_markov_basics():
         sg.apply_markov(swap, [1.0, 2.0, 3.0])
 
 
+def test_construction_rejects_non_integral_indices():
+    with pytest.raises(ValueError, match="transition indices must be integers"):
+        sg.WeightedChain(["a", "b"], [1, 1], [(0.7, 1, 1.0), (1, 0.2, 1.0)])
+
+
 def test_apply_markov_alternating_on_halfline():
     for q, n in ((2, 7), (3, 12), (4, 9)):
         chain = sg.build_pgl2_halfline(sg.HalfLineSpec(q=q, length=n, mode="lumped"))
@@ -140,7 +144,7 @@ def test_lambda1_complete_graph():
 def test_lambda1_cycles_match_circulant_formula():
     # 600 states take the Lanczos path, where the gap is 5.5e-5
     for n in (3, 4, 5, 8, 12, 600):
-        lam = require_converged(sg.lambda1(cycle_chain(n))).estimate
+        lam = sg.lambda1(cycle_chain(n)).estimate
         assert lam == pytest.approx(1.0 - np.cos(2 * np.pi / n), abs=1e-10)
 
 
@@ -181,7 +185,9 @@ def test_disconnected_chain_error_names_pair():
     assert "'b'" not in str(err.value)
 
 
-def test_dense_and_iterative_paths_agree(rng):
+def test_dense_and_iterative_paths_agree(rng, monkeypatch):
+    # every chain below takes the Lanczos path, checked against a full eigh
+    monkeypatch.setattr(markov_core, "DENSE_LIMIT", 0)
     chains = [
         random_reversible_chain(rng, n_states=int(rng.integers(8, 65)))
         for _ in range(12)
@@ -191,10 +197,10 @@ def test_dense_and_iterative_paths_agree(rng):
     chains += [complete_graph_chain(9), cycle_chain(10)]
     for chain in chains:
         theta, _funcs = sg.chain_spectrum(chain)
-        top, _x, res, _products = _lanczos(chain, "LA", "test")
+        top, _x, res, _products = _off_constants(chain, "LA", "test")
         assert top == pytest.approx(float(theta[1]), abs=1e-8)
         assert res <= ITER_RESIDUAL_TOL
-        widest, _x, res, _products = _lanczos(chain, "LM", "test")
+        widest, _x, res, _products = _off_constants(chain, "LM", "test")
         want = max(abs(float(theta[1])), abs(float(theta[-1])))
         assert abs(widest) == pytest.approx(want, abs=1e-8)
         assert res <= ITER_RESIDUAL_TOL
@@ -208,11 +214,34 @@ def test_lanczos_failures_raise_convergence_error(monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         sg.lambda1(cycle_chain(600))
     assert "lambda1" in str(err.value) and "600 states" in str(err.value)
-    loose = sg.SpectralReport(
-        estimate=0.5, certified_lower=0.4, iterations=80, residual=1e-8, method="lanczos"
-    )
-    with pytest.raises(ConvergenceError):
-        require_converged(loose)
+
+
+def _perturbed_ritz_pair(monkeypatch):
+    """Make every Lanczos solve return its Ritz vector tilted by 1e-6."""
+    eigsh = markov_core.spla.eigsh
+
+    def tilted(*args, **kwargs):
+        theta, vecs = eigsh(*args, **{**kwargs, "return_eigenvectors": True})
+        vecs = vecs + 1e-6 * np.cos(np.arange(vecs.shape[0]))[:, None]
+        vecs /= np.linalg.norm(vecs, axis=0)
+        return (theta, vecs) if kwargs.get("return_eigenvectors", True) else theta
+
+    monkeypatch.setattr(markov_core.spla, "eigsh", tilted)
+
+
+@pytest.mark.parametrize("solve, stage, size", [
+    (lambda: sg.lambda1(cycle_chain(600)), "lambda1", "600 states"),
+    (lambda: sg.operator_norm_l20(cycle_chain(600)), "operator_norm_l20", "600 states"),
+    (lambda: sg.expander_bound_check(cycle_chain(600)), "lambda1", "600 states"),
+    (lambda: sg.compressed_norm(sg.build_tree(4, 6), sg.ProbMeasure.uniform(
+        [sg.free_word(2, [s]) for s in (1, -1, 2, -2)]), 6), "compressed_norm (1457 rows)", "1457 states"),
+    (lambda: sg.build_family(2, [17]), "u-block k=1 of SL_2(F_17) (576 rows)", "576 states"),
+], ids=["lambda1", "operator_norm_l20", "expander_bound_check", "compressed_norm", "twisted_block"])
+def test_unconverged_ritz_pair_raises_naming_stage_and_size(monkeypatch, solve, stage, size):
+    _perturbed_ritz_pair(monkeypatch)
+    with pytest.raises(ConvergenceError) as err:
+        solve()
+    assert stage in str(err.value) and size in str(err.value)
 
 
 def test_rayleigh_identity_dirichlet_form(rng):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import sgaplab as sg
 from sgaplab import cli
 from sgaplab import group_algebra as ga
+from sgaplab import markov_core
 from sgaplab import spectral_engine as se
 from sgaplab.errors import BudgetExceededError
 from sgaplab.spectral_engine import compressed_operator
@@ -65,6 +66,21 @@ def test_line_graph_compression_matches_path_eigenvalue():
     got = sg.compressed_norm(line, mu, 100)
     assert got == pytest.approx(math.cos(math.pi / 202), abs=1e-12)
     assert got >= 0.999
+
+
+@pytest.mark.parametrize("radius, rows", [(4, 161), (6, 1457)])  # dense, Lanczos
+def test_non_symmetric_compression_norm_is_the_largest_singular_value(radius, rows):
+    # mu uniform on {a, b}: the compression is not symmetric, and its norm
+    # is the top eigenvalue of the symmetric dilation
+    graph = sg.build_tree(4, 6)
+    mu = sg.ProbMeasure.uniform([sg.free_word(2, [1]), sg.free_word(2, [2])])
+    mat = compressed_operator(graph, mu, radius)
+    assert mat.shape == (rows, rows) and (mat != mat.T).nnz > 0
+    want = float(np.linalg.norm(mat.toarray(), 2))
+    assert sg.compressed_norm(graph, mu, radius) == pytest.approx(want, rel=1e-12, abs=0.0)
+    norms = sg.compression_ladder(graph, mu, list(range(radius + 1))).norms
+    assert norms[-1] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
 def test_compression_radius_and_support_validation():
@@ -121,7 +137,7 @@ def _torus(radius: int):
 
 def _ladder_cases():
     yield "torus r=30", *_torus(30)
-    # balls above DENSE_NORM_LIMIT rows: warm-started Lanczos solves
+    # balls above DENSE_LIMIT rows: warm-started Lanczos solves
     yield "torus r=60", *_torus(60)
     yield "tree (4, 6)", sg.build_tree(4, 6), free_uniform_measure(2)
     config = [sg.free_word(2, []), sg.free_word(2, [1])]
@@ -153,7 +169,7 @@ def _symmetric_graphs(draw):
     """A graph on n vertices (some possibly unreachable) carrying k random
     permutations and their inverses, numbered in no particular order, with a
     symmetric measure on the 2k generators."""
-    n = draw(st.one_of(st.integers(2, 40), st.integers(se.DENSE_NORM_LIMIT + 1, 900)))
+    n = draw(st.one_of(st.integers(2, 40), st.integers(markov_core.DENSE_LIMIT + 1, 900)))
     k = draw(st.integers(1, 3))
     src, dst, gen = [], [], []
     for i in range(k):
