@@ -32,6 +32,7 @@ from .group_algebra import (
     check_adapted,
     convolve,
     convolution_power,
+    convolution_powers,
     free_word,
     group_closure,
     identity_like,

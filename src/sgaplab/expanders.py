@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from .cheeger import EXACT_ENUMERATION_LIMIT, cheeger_exact
 from .errors import BudgetExceededError
-from .group_algebra import CAYLEY_BUDGET, special_linear_order
+from .group_algebra import ORBIT_BUDGET, special_linear_order
 from .markov_core import WeightedChain, extremal_eigs, lambda1, operator_norm_l20
 from .walk_models import (
     LabeledGraph,
@@ -86,12 +86,10 @@ class FamilyCertificate:
         return min(rec.lambda_1 for rec in self.members)
 
 
-def build_member_graph(n: int, p: int, max_size: int = CAYLEY_BUDGET) -> LabeledGraph:
+def build_member_graph(n: int, p: int) -> LabeledGraph:
     order = special_linear_order(n, p)
-    if order > max_size:
-        raise BudgetExceededError(
-            f"SL_{n}(F_{p}) has {order} elements, over the {max_size} budget"
-        )
+    if order > ORBIT_BUDGET:
+        raise BudgetExceededError(f"SL_{n}(F_{p}) has {order} elements, over the {ORBIT_BUDGET} budget")
     return build_cayley(elementary_generators(n, p), expect_order=order)
 
 
@@ -165,9 +163,9 @@ def _u_block_gap_and_norm(p: int) -> tuple[float, float]:
     """lambda_1 = 1 - max(theta_2(B_0), theta_1(B_1), theta_1(B_nu)) and the
     largest modulus off the constants, from the three distinct blocks."""
     points = p * p - 1
-    if points > CAYLEY_BUDGET:
+    if points > ORBIT_BUDGET:
         raise BudgetExceededError(
-            f"SL_2(F_{p}) acts on {points} nonzero vectors, over the {CAYLEY_BUDGET} budget"
+            f"SL_2(F_{p}) acts on {points} nonzero vectors, over the {ORBIT_BUDGET} budget"
         )
     src, dst, _phase = _point_moves(p)
     # summing the moves gives weight 1/2 to the loops of E_12^+-1 and E_21^+-1

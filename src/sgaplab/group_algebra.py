@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -20,13 +20,16 @@ from .errors import BudgetExceededError, UnsupportedVariantError, VariantMismatc
 
 WEIGHT_SUM_TOL = 1e-12
 
-# Work cap for direct convolution powers: sum over steps of
-# |support(power)| * |support(nu)| must stay below this.
-DIRECT_CONVOLUTION_BUDGET = 400_000
+# Work cap of `convolution_powers`: the sum over its steps of
+# |support(power)| * |support(mu)|.
+CONVOLUTION_BUDGET = 400_000
 
-# Cap on the group elements one enumeration may find: group closures and
-# Cayley graphs.
-CAYLEY_BUDGET = 1_000_000
+# Cap on the points one `explore_orbit` run may find: group closures, Cayley
+# graphs and Schreier orbits.
+ORBIT_BUDGET = 1_000_000
+
+# Cap on n_max of a return-probability series, checked before any allocation.
+SERIES_BUDGET = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +163,11 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class MatModP:
-    """d x d matrix over Z/pZ with determinant 1 (an element of SL_d(F_p))."""
+    """d x d matrix over Z/pZ with determinant 1 (an element of SL_d(F_p)).
+    `mat_mod_p` checks outside input; `mul` and `inverse` stay in the group."""
 
     p: int
     entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        for row in self.entries:
-            for x in row:
-                if not 0 <= x < self.p:
-                    raise ValueError(f"entry {x} outside [0, {self.p})")
-        if int_det(self.entries) % self.p != 1:
-            raise ValueError("determinant is not 1 mod p")
 
     @property
     def dim(self) -> int:
@@ -184,18 +178,17 @@ def mat_mod_p(p: int, entries) -> MatModP:
     if not _is_prime(p):  # before reducing, which divides by p
         raise ValueError(f"modulus {p} is not prime")
     rows = _int_rows(entries)
+    if int_det(rows) % p != 1:
+        raise ValueError("determinant is not 1 mod p")
     return MatModP(p, tuple(tuple(x % p for x in row) for row in rows))
 
 
 @dataclass(frozen=True)
 class MatZ:
-    """Unimodular integer matrix (determinant +1 or -1), so the inverse is integral."""
+    """Unimodular integer matrix (determinant +1 or -1), so the inverse is
+    integral.  `mat_z` validates outside input, as `mat_mod_p` does."""
 
     entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if int_det(self.entries) not in (1, -1):
-            raise ValueError("integer matrix must have determinant +1 or -1")
 
     @property
     def dim(self) -> int:
@@ -203,7 +196,10 @@ class MatZ:
 
 
 def mat_z(entries) -> MatZ:
-    return MatZ(_int_rows(entries))
+    rows = _int_rows(entries)
+    if int_det(rows) not in (1, -1):
+        raise ValueError("integer matrix must have determinant +1 or -1")
+    return MatZ(rows)
 
 
 GroupElement = Union[FreeWord, MatModP, MatZ]
@@ -458,13 +454,29 @@ def convolve(mu: ProbMeasure, nu: ProbMeasure) -> ProbMeasure:
     return ProbMeasure([(g, math.fsum(ws)) for g, ws in buckets.items()])
 
 
-def convolution_power(mu: ProbMeasure, n: int) -> ProbMeasure:
+def convolution_powers(mu: ProbMeasure, n: int) -> Iterator[ProbMeasure]:
+    """Yield mu, mu * mu, ... up to the n-th power.  Step k costs
+    |support(mu^k)| * |support(mu)| products; the step that would take their
+    sum past CONVOLUTION_BUDGET raises BudgetExceededError instead."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    out = mu
+    power = mu
+    work = 0
+    yield power
     for _ in range(n - 1):
-        out = convolve(out, mu)
-    return out
+        work += power.support_size * mu.support_size
+        if work > CONVOLUTION_BUDGET:
+            raise BudgetExceededError(
+                f"convolution budget {CONVOLUTION_BUDGET} exceeded at support size {power.support_size}"
+            )
+        power = convolve(power, mu)
+        yield power
+
+
+def convolution_power(mu: ProbMeasure, n: int) -> ProbMeasure:
+    for power in convolution_powers(mu, n):
+        pass
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +645,7 @@ def _lazy_line_log_returns(hold_weight: float, step_weight: float, n_max: int) -
     )
 
 
-def spectral_radius_return(
-    mu: ProbMeasure, n_max: int, budget: int = DIRECT_CONVOLUTION_BUDGET
-) -> ReturnProbabilitySeries:
+def spectral_radius_return(mu: ProbMeasure, n_max: int) -> ReturnProbabilitySeries:
     """Return-probability series of mu~ * mu up to n_max.
 
     r_{n_max} is a certified lower bound on the norm of the averaging
@@ -643,11 +653,12 @@ def spectral_radius_return(
     Radial and one-dimensional reductions keep the cost linear in n_max for
     the free-generator and two-point cases: both reduce to a birth-death
     chain whose return series satisfies a recurrence of fixed order, so
-    each term costs O(1).  Anything else falls back to direct convolution
-    powers under a work budget.
+    each term costs O(1).  Anything else falls back to `convolution_powers`.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if n_max > SERIES_BUDGET:
+        raise BudgetExceededError(f"n_max {n_max} is over the series budget {SERIES_BUDGET}")
 
     rank = _radial_uniform_rank(mu)
     if rank is not None:
@@ -668,19 +679,12 @@ def spectral_radius_return(
             return _finish_series(logs, symmetric=mu.check_symmetric(), method="lazy_line")
 
     e = identity_like(nu.elements()[0])
-    work = 0
-    power = nu
-    logs = [math.log(power.weight_of(e))]
-    for _ in range(n_max - 1):
-        work += power.support_size * nu.support_size
-        if work > budget:
-            raise BudgetExceededError(
-                f"direct convolution budget {budget} exceeded at support size "
-                f"{power.support_size} and no radial reduction applies; "
-                "reduce n_max or use a reducible measure"
-            )
-        power = convolve(power, nu)
-        logs.append(math.log(power.weight_of(e)))
+    try:
+        logs = [math.log(power.weight_of(e)) for power in convolution_powers(nu, n_max)]
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"direct {exc} and no radial reduction applies; reduce n_max or use a reducible measure"
+        ) from None
     return _finish_series(np.array(logs), symmetric=mu.check_symmetric(), method="direct")
 
 
@@ -702,7 +706,7 @@ def special_linear_order(d: int, p: int) -> int:
     return order
 
 
-def explore_orbit(base, moves, inside=None, max_size=None):
+def explore_orbit(base, moves, inside=None):
     """Breadth-first orbit of the hashable point `base` under the maps `moves`.
 
     Returns (points, edges, stubs): the points in discovery order, so their
@@ -710,7 +714,7 @@ def explore_orbit(base, moves, inside=None, max_size=None):
     parallel lists (sources, targets, move indices) in visit order; and the
     stubs as two (sources, move indices), one for each move to a new point
     that fails `inside(point, depth)`, depth being that point's distance
-    from `base`.  Raises BudgetExceededError once more than `max_size`
+    from `base`.  Raises BudgetExceededError once more than ORBIT_BUDGET
     points are found.
     """
     index = {base: 0}
@@ -734,10 +738,8 @@ def explore_orbit(base, moves, inside=None, max_size=None):
                     stub_move.append(k)
                     continue
                 iw = len(points)
-                if max_size is not None and iw >= max_size:
-                    raise BudgetExceededError(
-                        f"orbit enumeration exceeded {max_size} points"
-                    )
+                if iw >= ORBIT_BUDGET:
+                    raise BudgetExceededError(f"orbit enumeration exceeded {iw} points at distance {d}")
                 index[w] = iw
                 points.append(w)
                 depth.append(d)
@@ -748,19 +750,17 @@ def explore_orbit(base, moves, inside=None, max_size=None):
     return points, (edge_src, edge_dst, edge_move), (stub_src, stub_move)
 
 
-def group_closure(
-    generators: Sequence[GroupElement], max_size: int = CAYLEY_BUDGET
-) -> set[GroupElement]:
+def group_closure(generators: Sequence[GroupElement]) -> set[GroupElement]:
     """Subgroup generated by the given elements, via breadth-first closure."""
     if not generators:
         raise ValueError("need at least one generator")
     gens = list(generators) + [inverse(g) for g in generators]
     moves = [partial(mul, g) for g in gens]
-    points, _edges, _stubs = explore_orbit(identity_like(gens[0]), moves, max_size=max_size)
+    points, _edges, _stubs = explore_orbit(identity_like(gens[0]), moves)
     return set(points)
 
 
-def check_adapted(mu: ProbMeasure, max_size: int = CAYLEY_BUDGET) -> bool:
+def check_adapted(mu: ProbMeasure) -> bool:
     """True iff the support of mu generates the whole ambient group.
 
     Decidable here for the mod-p family (finite closure) and for free-group
@@ -769,7 +769,7 @@ def check_adapted(mu: ProbMeasure, max_size: int = CAYLEY_BUDGET) -> bool:
     kind = mu.family[0]
     if kind == "matmodp":
         _, d, p = mu.family
-        closure = group_closure(mu.elements(), max_size=max_size)
+        closure = group_closure(mu.elements())
         return len(closure) == special_linear_order(d, p)
     if kind == "free":
         rank = mu.family[1]

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .group_algebra import WEIGHT_SUM_TOL, ProbMeasure, convolve
+from .group_algebra import WEIGHT_SUM_TOL, ProbMeasure, convolution_powers
+from .walk_models import sanov_generators
 
 EXACT_POWER_CAP = 8
-EXACT_SUPPORT_BUDGET = 200_000
 # Factor indices held at once by estimate_lyapunov: 2^19 int64 entries.
 INDEX_BLOCK_ENTRIES = 1 << 19
 
@@ -61,10 +60,7 @@ class MatrixMeasure:
 
 def sanov_matrix_measure() -> MatrixMeasure:
     """Uniform measure on (1 2; 0 1), (1 0; 2 1) and their inverses."""
-    a = np.array([[1.0, 2.0], [0.0, 1.0]])
-    b = np.array([[1.0, 0.0], [2.0, 1.0]])
-    mats = np.stack([a, np.linalg.inv(a), b, np.linalg.inv(b)])
-    return MatrixMeasure(np.rint(mats), np.full(4, 0.25))
+    return MatrixMeasure.from_group_measure(sanov_group_measure())
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,6 @@ class LyapunovEstimate:
             raise ValueError("confidence half-width must be non-negative")
         if self.n_steps < 1 or self.n_trials < 1:
             raise ValueError("need at least one step and one trial")
-
-
-def _operator_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, 2))
 
 
 def _trial_growths(
@@ -169,41 +161,26 @@ def estimate_lyapunov(
     )
 
 
-def exact_u_n(
-    mu: ProbMeasure, n_max: int, budget: int = EXACT_SUPPORT_BUDGET
-) -> list[float]:
+def exact_u_n(mu: ProbMeasure, n_max: int) -> list[float]:
     """Exact expectations u_n = E[log ||g||] under the n-fold convolution
     power, for n = 1 .. n_max (n_max capped at 8).
 
     Convolution collapses equal products, which keeps free-group supports
-    polynomial; the budget guards everything else.
+    polynomial; `group_algebra.CONVOLUTION_BUDGET` guards everything else.
     """
     if mu.family[0] != "matz":
         raise ValueError("exact expectations need integer-matrix elements")
     if not 1 <= n_max <= EXACT_POWER_CAP:
         raise ValueError(f"n_max must be in 1..{EXACT_POWER_CAP}")
     out = []
-    power = mu
-    work = 0
-    for _n in range(1, n_max + 1):
-        work += power.support_size * mu.support_size
-        if work > budget:
-            raise BudgetExceededError(
-                f"support expansion exceeded budget {budget}"
-            )
-        total = math.fsum(
-            w * math.log(_operator_norm(np.array(g.entries, dtype=float)))
-            for g, w in power.items()
-        )
-        out.append(total)
-        if _n < n_max:
-            power = convolve(power, mu)
+    for power in convolution_powers(mu, n_max):
+        mats = np.array([g.entries for g in power.elements()], dtype=float)
+        norms = np.linalg.norm(mats, 2, axis=(1, 2)).tolist()
+        out.append(math.fsum(w * math.log(x) for (_g, w), x in zip(power.items(), norms)))
     return out
 
 
 def sanov_group_measure() -> ProbMeasure:
-    from .walk_models import sanov_generators
-
     return ProbMeasure.uniform(sanov_generators())
 
 

@@ -28,7 +28,6 @@ import scipy.sparse as sp
 
 from .errors import BudgetExceededError
 from .group_algebra import (
-    CAYLEY_BUDGET,
     FreeWord,
     GroupElement,
     MatModP,
@@ -45,6 +44,7 @@ from .group_algebra import (
 from .markov_core import WeightedChain
 
 TREE_LABEL_LIMIT = 200_000
+TREE_BUDGET = 4_000_000
 
 
 class LabeledGraph:
@@ -175,7 +175,7 @@ def tree_ball_size(d: int, depth: int) -> int:
     return 1 + d * ((d - 1) ** depth - 1) // (d - 2)
 
 
-def build_tree(d: int, depth: int, max_vertices: int = 4_000_000) -> LabeledGraph:
+def build_tree(d: int, depth: int) -> LabeledGraph:
     """Ball of the given depth in the d-regular tree, rooted at the basepoint.
 
     For even d = 2N the ball is the Cayley ball of the free group of rank N
@@ -188,8 +188,8 @@ def build_tree(d: int, depth: int, max_vertices: int = 4_000_000) -> LabeledGrap
     if depth < 0:
         raise ValueError("depth must be >= 0")
     n = tree_ball_size(d, depth)
-    if n > max_vertices:
-        raise BudgetExceededError(f"tree ball has {n} vertices, cap is {max_vertices}")
+    if n > TREE_BUDGET:
+        raise BudgetExceededError(f"tree ball has {n} vertices, cap is {TREE_BUDGET}")
 
     if d % 2 == 0:
         gens: list = free_generators(d // 2)
@@ -411,9 +411,7 @@ def _orbit_graph(generators, inverse_of, orbit, label) -> LabeledGraph:
 
 
 def build_cayley(
-    generators: Sequence[GroupElement],
-    expect_order: int | None = None,
-    max_size: int = CAYLEY_BUDGET,
+    generators: Sequence[GroupElement], expect_order: int | None = None
 ) -> LabeledGraph:
     """Cayley graph of the group generated by `generators`, via breadth-first
     enumeration from the identity.  Edges act by left multiplication."""
@@ -421,7 +419,7 @@ def build_cayley(
         raise ValueError("need at least one generator")
     inverse_of = _check_inverse_closed(generators)
     moves = [partial(mul, g) for g in generators]
-    orbit = explore_orbit(identity_like(generators[0]), moves, max_size=max_size)
+    orbit = explore_orbit(identity_like(generators[0]), moves)
     order = len(orbit[0])
     if expect_order is not None and order != expect_order:
         raise ValueError(
@@ -452,7 +450,8 @@ def build_torus_schreier(
 ) -> LabeledGraph:
     """Portion of the dual-action orbit of `basepoint` inside the sup-norm
     ball of the given radius, explored by paths that stay inside the ball.
-    Moves that leave the ball are recorded as stubs."""
+    Moves that leave the ball are recorded as stubs.  The enumeration stops
+    with BudgetExceededError past `group_algebra.ORBIT_BUDGET` points."""
     base = tuple(int(x) for x in basepoint)
     if all(x == 0 for x in base):
         raise ValueError("basepoint must be a non-zero integer vector")

@@ -201,6 +201,26 @@ def test_radial_depth_over_budget_fails_before_allocating(subcommand, extra, cap
     assert peak < 1 << 20
 
 
+def test_return_prob_n_max_over_budget_fails_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code = cli.run(["return-prob", "--preset", "free-symmetric", "--n-max", "100000000", "--no-timestamp"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR:budget:n_max 100000000 is over the series budget")
+    assert peak < 1 << 20
+
+
+def test_torus_orbit_over_budget_is_a_budget_error(monkeypatch, capsys):
+    monkeypatch.setattr(sg.group_algebra, "ORBIT_BUDGET", 1000)
+    assert cli.run(["torus", "--radius", "150", "--no-timestamp"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR:budget:orbit enumeration exceeded 1000 points")
+
+
 def test_bernoulli_vertex_count_past_the_str_digit_limit_is_a_budget_error(capsys):
     limit = sys.get_int_max_str_digits()
     assert limit > 0

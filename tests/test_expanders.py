@@ -139,7 +139,7 @@ def test_block_family_matches_the_graph_path():
 
 def test_block_path_budget_and_moduli():
     with pytest.raises(BudgetExceededError, match="1018080 nonzero vectors"):
-        sg.build_family(2, [1009])  # p^2 - 1 over CAYLEY_BUDGET, before any block
+        sg.build_family(2, [1009])  # p^2 - 1 over ORBIT_BUDGET, before any block
     for bad in (9, 1, 0, -3):
         with pytest.raises(ValueError, match=f"modulus {bad} is not prime"):
             sg.build_family(2, [bad])

@@ -65,16 +65,27 @@ def test_mat_mod_p_elementary_product():
     assert cube == sg.identity_like(e12)
 
 
+def _matrix_measure_json(variant: str, params: dict, elem) -> dict:
+    return {"variant": variant, "params": params, "support": [{"elem": elem, "w": 1.0}]}
+
+
 def test_mat_mod_p_rejects_bad_determinant():
     with pytest.raises(ValueError):
         sg.mat_mod_p(5, [[2, 0], [0, 2]])  # det = 4 mod 5
     with pytest.raises(ValueError):
         sg.mat_mod_p(4, [[1, 0], [0, 1]])  # modulus not prime
+    # the JSON route validates through the same factory
+    with pytest.raises(ValueError, match="determinant is not 1 mod p"):
+        sg.ProbMeasure.from_json_dict(_matrix_measure_json("matmodp", {"d": 2, "p": 5}, [[2, 0], [0, 2]]))
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        sg.ProbMeasure.from_json_dict(_matrix_measure_json("matmodp", {"d": 2, "p": 4}, [[1, 0], [0, 1]]))
 
 
 def test_mat_z_rejects_non_unimodular():
     with pytest.raises(ValueError):
         sg.mat_z([[2, 0], [0, 1]])
+    with pytest.raises(ValueError, match="determinant \\+1 or -1"):
+        sg.ProbMeasure.from_json_dict(_matrix_measure_json("matz", {"d": 2}, [[2, 0], [0, 1]]))
     g = sg.mat_z([[1, 2], [0, 1]])
     assert sg.mul(g, sg.inverse(g)) == sg.identity_like(g)
 
@@ -362,8 +373,28 @@ def test_direct_path_budget_error_mentions_alternative():
     mu = sg.ProbMeasure.uniform(
         [sg.free_word(3, [1]), sg.free_word(3, [-1]), sg.free_word(3, [2]), sg.free_word(3, [-2])]
     )  # rank-3 family but only 4 letters: not radial, not lazy
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="reduce n_max or use a reducible measure"):
         sg.spectral_radius_return(mu, 5000)
+
+
+def test_series_budget_fails_before_allocating(monkeypatch):
+    monkeypatch.setattr(ga, "SERIES_BUDGET", 10)
+    for mu in (free_uniform_measure(2), sg.ProbMeasure.delta(sg.free_word(2, []))):
+        assert sg.spectral_radius_return(mu, 10).n_max == 10
+        with pytest.raises(BudgetExceededError, match="n_max 11 is over the series budget 10"):
+            sg.spectral_radius_return(mu, 11)
+
+
+def test_convolution_powers_stop_at_the_budget(monkeypatch):
+    mu = sg.ProbMeasure.uniform(sg.elementary_generators(2, 5))
+    powers = list(sg.convolution_powers(mu, 4))
+    assert [p.support_size for p in powers] == [4, 13, 34, 81]
+    assert powers[-1] == sg.convolution_power(mu, 4)
+    # steps cost 4 * 4, 13 * 4 and 34 * 4: 204 in all
+    monkeypatch.setattr(ga, "CONVOLUTION_BUDGET", 203)
+    assert len(list(sg.convolution_powers(mu, 3))) == 3
+    with pytest.raises(BudgetExceededError, match="convolution budget 203 exceeded at support size 34"):
+        sg.convolution_power(mu, 4)
 
 
 def test_series_values_in_unit_interval_and_certified_bound():
@@ -377,15 +408,16 @@ def test_series_values_in_unit_interval_and_certified_bound():
 # adaptedness
 # ---------------------------------------------------------------------------
 
-def test_adapted_elementary_generators_mod_3():
+def test_adapted_elementary_generators_mod_3(monkeypatch):
     mu = sg.ProbMeasure.uniform(sg.elementary_generators(2, 3))
     assert sg.check_adapted(mu) is True
     assert sg.special_linear_order(2, 3) == 24
     assert len(sg.group_closure(sg.elementary_generators(2, 3))) == 24
     with pytest.raises(ValueError, match="need at least one generator"):
         sg.group_closure([])
+    monkeypatch.setattr(ga, "ORBIT_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        sg.group_closure(sg.elementary_generators(2, 13), max_size=100)
+        sg.group_closure(sg.elementary_generators(2, 13))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -398,7 +430,7 @@ def test_closure_of_elementary_generators_is_all_of_sl2(p):
     assert sg.group_closure(sg.elementary_generators(2, p)) == brute
 
 
-def test_explore_orbit_points_edges_and_stubs():
+def test_explore_orbit_points_edges_and_stubs(monkeypatch):
     # the integers under x -> x + 1 and x -> x - 1, kept inside |x| <= 2
     moves = [lambda x: x + 1, lambda x: x - 1]
     points, edges, stubs = ga.explore_orbit(0, moves, inside=lambda x, depth: abs(x) <= 2)
@@ -411,8 +443,9 @@ def test_explore_orbit_points_edges_and_stubs():
     assert stubs == ([3, 4], [0, 1])
     points, _edges, stubs = ga.explore_orbit(0, moves, inside=lambda x, depth: depth <= 1)
     assert points == [0, 1, -1] and stubs == ([1, 2], [0, 1])
+    monkeypatch.setattr(ga, "ORBIT_BUDGET", 4)
     with pytest.raises(BudgetExceededError):
-        ga.explore_orbit(0, moves, max_size=4)
+        ga.explore_orbit(0, moves)
 
 
 def test_adapted_rejects_trivial_support():

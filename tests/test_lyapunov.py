@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import sgaplab as sg
-from sgaplab import cli, lyapunov
+from sgaplab import cli, group_algebra, lyapunov
+from sgaplab.errors import BudgetExceededError
 from sgaplab.group_algebra import WEIGHT_SUM_TOL
 
 
@@ -164,6 +165,15 @@ def test_exact_u_n_dominates_monte_carlo_at_same_n():
     for n in (3, 6):
         est = sg.estimate_lyapunov(sg.sanov_matrix_measure(), n, 300, 11)
         assert u[n - 1] / n >= est.point_estimate - 3 * est.ci_half_width
+
+
+def test_exact_u_n_stops_at_the_convolution_budget(monkeypatch):
+    mu = sg.sanov_group_measure()
+    # power supports 4, 13, 40, 121, 364: five powers cost 4 * 178 = 712
+    monkeypatch.setattr(group_algebra, "CONVOLUTION_BUDGET", 1000)
+    assert len(sg.exact_u_n(mu, 5)) == 5
+    with pytest.raises(BudgetExceededError, match="convolution budget 1000 exceeded at support size 364"):
+        sg.exact_u_n(mu, 6)
 
 
 def test_exact_u_n_validation():

@@ -141,11 +141,12 @@ def test_cayley_two_element_group():
     assert sg.lambda1(chain).estimate == pytest.approx(2.0, abs=1e-12)
 
 
-def test_cayley_budget_and_inverse_closure():
+def test_cayley_budget_and_inverse_closure(monkeypatch):
     with pytest.raises(ValueError):
         sg.build_cayley([sg.mat_mod_p(5, [[1, 1], [0, 1]])])  # missing inverse
+    monkeypatch.setattr(sg.group_algebra, "ORBIT_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        sg.build_cayley(sg.elementary_generators(2, 13), max_size=100)
+        sg.build_cayley(sg.elementary_generators(2, 13))
 
 
 # ---------------------------------------------------------------------------
