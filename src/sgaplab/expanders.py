@@ -148,20 +148,11 @@ def _gap_and_norm(chain: WeightedChain) -> tuple[float, float, str]:
     return lam_report.estimate, operator_norm_l20(chain).estimate, lam_report.method
 
 
-def _twisted_extremes(p: int, k: int) -> tuple[float, float]:
-    """(largest eigenvalue, largest modulus) of the block k != 0, which
-    holds no constants, from its real form."""
-    real = u_block(p, k)
-    rows = real.shape[0]
-    v0 = np.cos(np.arange(1, rows + 1) * 0.7) + 0.1
-    stage = f"expanders: u-block k={k} of SL_2(F_{p}) ({rows} rows)"
-    top = extremal_eigs(real, "LA", v0, stage=stage)[0]
-    return top, abs(extremal_eigs(real, "LM", v0, stage=stage)[0])
-
-
 def _u_block_gap_and_norm(p: int) -> tuple[float, float]:
     """lambda_1 = 1 - max(theta_2(B_0), theta_1(B_1), theta_1(B_nu)) and the
-    largest modulus off the constants, from the three distinct blocks."""
+    largest modulus off the constants, from the three distinct blocks: B_0,
+    the Schreier walk with its unit constant vector deflated, and the real
+    forms of the twisted blocks, which hold no constants."""
     points = p * p - 1
     if points > ORBIT_BUDGET:
         raise BudgetExceededError(
@@ -169,14 +160,19 @@ def _u_block_gap_and_norm(p: int) -> tuple[float, float]:
         )
     src, dst, _phase = _point_moves(p)
     # summing the moves gives weight 1/2 to the loops of E_12^+-1 and E_21^+-1
-    b0 = sp.csr_matrix((np.full(src.size, 0.25), (src, dst)), shape=(points, points)).tocoo()
-    chain = WeightedChain(range(points), np.ones(points), np.column_stack([b0.row, b0.col, b0.data]))
-    lam, norm0, _method = _gap_and_norm(chain)
+    schreier = sp.csr_matrix((np.full(src.size, 0.25), (src, dst)), shape=(points, points))
+    unit = np.ones(points)
+    unit /= np.linalg.norm(unit)
     non_residue = next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)
-    for k in (1, non_residue):
-        top, modulus = _twisted_extremes(p, k)
-        lam = min(lam, 1.0 - top)
-        norm0 = max(norm0, modulus)
+    blocks = {0: (schreier, unit), 1: (u_block(p, 1), None), non_residue: (u_block(p, non_residue), None)}
+    lam, norm0 = math.inf, 0.0
+    for k, (block, deflate) in blocks.items():
+        rows = block.shape[0]
+        v0 = np.cos(np.arange(1, rows + 1) * 0.7) + 0.1
+        stage = f"expanders: u-block k={k} of SL_2(F_{p}) ({rows} rows)"
+        top = extremal_eigs(block, "LA", v0, deflate, stage=stage)[0].estimate
+        modulus = abs(extremal_eigs(block, "LM", v0, deflate, stage=stage)[0].estimate)
+        lam, norm0 = min(lam, 1.0 - top), max(norm0, modulus)
     return lam, norm0
 
 

@@ -9,7 +9,7 @@ D = diag(m), which is symmetric exactly when the chain is reversible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -130,19 +130,12 @@ class SpectralReport:
     """Eigenvalue/norm estimate with convergence diagnostics.
 
     `method` is the path `extremal_eigs` took: "dense" (a full `eigh`,
-    iterations 1) or "lanczos" (ARPACK on the constants-deflated kernel,
-    iterations the operator products).  For both, `residual` is
-    ||S x - theta x|| of the unit eigenpair (theta, x) behind the estimate,
-    at most ITER_RESIDUAL_TOL, and `certified_lower` is, per quantity:
-
-    - lambda_1 = 1 - theta: max(0, estimate - residual), the lower end of
-      the Weyl interval around the eigenvalue theta approximates;
-    - norm_l20 = |theta|: min(||S x||, estimate + residual), a Rayleigh-type
-      lower bound on the norm since x is orthogonal to the constants.
+    iterations 1) or "lanczos" (ARPACK, iterations the operator products).
+    For both, `residual` is ||S x - theta x|| of the unit eigenpair
+    (theta, x) behind the estimate, at most ITER_RESIDUAL_TOL.
     """
 
     estimate: float
-    certified_lower: float
     iterations: int
     residual: float
     method: str
@@ -150,8 +143,6 @@ class SpectralReport:
     def __post_init__(self):
         if self.residual < 0.0:
             raise ValueError("residual must be non-negative")
-        if self.certified_lower > self.estimate + self.residual:
-            raise ValueError("certified_lower exceeds estimate + residual")
         if self.method not in ("dense", "lanczos"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -244,22 +235,20 @@ def extremal_eigs(
     deflate: np.ndarray | None = None,
     *,
     stage: str,
-    vectors: bool = True,
-) -> tuple[float, np.ndarray | None, float | None, int]:
-    """(value, unit eigenvector, residual ||A x - value x||, operator
-    products counting the residual's) for the symmetric `op`, `which` in
-    "LA" (value is the largest eigenvalue) or "LM", "BE" (value has the
-    largest modulus).
+) -> tuple[SpectralReport, np.ndarray]:
+    """(report, unit eigenvector x) for the symmetric `op`, `which` in "LA"
+    (the estimate is the largest eigenvalue) or "LM" (the eigenvalue of
+    largest modulus).  The report's iterations count the operator products,
+    the residual check's included.
 
     The one solver switch of the package: up to DENSE_LIMIT rows a full
-    `eigh` of the dense matrix, beyond it ARPACK Lanczos for one Ritz pair
-    from `v0`.  `deflate`, a unit eigenvector of `op` with
-    eigenvalue 1, is left out: the dense path drops the eigenpair most
-    aligned with it, the Lanczos path shifts it to 0, or below the spectrum
-    [-1, 1] for "LA".  A returned vector is checked: a residual above
-    ITER_RESIDUAL_TOL raises ConvergenceError naming the stage and the size.
-    Without `vectors`, vector and residual are None and ARPACK keeps the Ritz
-    values it converged to.
+    `eigh` of the dense matrix (method "dense"), beyond it ARPACK Lanczos
+    for one Ritz pair from `v0` (method "lanczos").  `deflate`, a unit
+    eigenvector of `op` with eigenvalue 1, is left out: the dense path drops
+    the eigenpair most aligned with it, the Lanczos path shifts it to 0, or
+    below the spectrum [-1, 1] for "LA".  Every pair is checked: a residual
+    above ITER_RESIDUAL_TOL raises ConvergenceError naming the stage, the
+    method and the size.
     """
     n = op.shape[0]
     shift = 3.0 if which == "LA" else 1.0
@@ -279,23 +268,20 @@ def extremal_eigs(
             drop = int(np.argmax(np.abs(deflate @ vecs)))
             theta, vecs = np.delete(theta, drop), np.delete(vecs, drop, axis=1)
     else:
-        method = "Lanczos"
+        method = "lanczos"
         lin = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
         try:
             # one Ritz pair: Cayley-graph eigenvalues repeat (at least
             # (p - 1) / 2 times for SL_2(F_p)), and Lanczos only makes the
             # copies that more pairs wait for out of rounding
-            out = spla.eigsh(lin, k=1, which=which, v0=v0, return_eigenvectors=vectors)
+            theta, vecs = spla.eigsh(lin, k=1, which=which, v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(
-                f"{stage}: Lanczos (which={which}) did not converge on "
+                f"{stage}: lanczos (which={which}) did not converge on "
                 f"{n} states after {products} products: {exc}"
             ) from None
-        theta, vecs = out if vectors else (out, None)
     pick = int(np.argmax(theta if which == "LA" else np.abs(theta)))
     value = float(theta[pick])
-    if not vectors:
-        return value, None, None, products
     x = vecs[:, pick]
     res = float(np.linalg.norm(matvec(x) - value * x))
     if res > ITER_RESIDUAL_TOL:
@@ -303,10 +289,10 @@ def extremal_eigs(
             f"{stage}: {method} (which={which}) residual {res:.2e} exceeds "
             f"{ITER_RESIDUAL_TOL:.0e} on {n} states"
         )
-    return value, x, res, products
+    return SpectralReport(value, products, res, method), x
 
 
-def _off_constants(chain: WeightedChain, which: str, stage: str):
+def _off_constants(chain: WeightedChain, which: str, stage: str) -> tuple[SpectralReport, np.ndarray]:
     """`extremal_eigs` of the symmetrized kernel of a connected reversible
     stochastic chain, with the constants deflated, from a fixed start."""
     if chain.row_mode != "stochastic":
@@ -321,27 +307,19 @@ def _off_constants(chain: WeightedChain, which: str, stage: str):
     return extremal_eigs(chain.symmetrized, which, v0, deflate=unit, stage=stage)
 
 
-def _report(estimate: float, certified: float, res: float, products: int, n: int) -> SpectralReport:
-    method = "dense" if n <= DENSE_LIMIT else "lanczos"
-    return SpectralReport(estimate, certified, products, res, method)
-
-
 def lambda1(chain: WeightedChain) -> SpectralReport:
     """Smallest non-zero eigenvalue of the Laplacian I - M on the m-orthogonal
     complement of constants: one minus the top eigenvalue of the
     constants-deflated kernel."""
-    theta, _x, res, products = _off_constants(chain, "LA", "lambda1")
-    lam = 1.0 - theta
-    return _report(lam, max(0.0, lam - res), res, products, chain.n)
+    report, _x = _off_constants(chain, "LA", "lambda1")
+    return replace(report, estimate=1.0 - report.estimate)
 
 
 def operator_norm_l20(chain: WeightedChain) -> SpectralReport:
     """Norm of the Markov operator restricted to the m-orthogonal complement
     of the constants (max |eigenvalue| there, by self-adjointness)."""
-    theta, x, res, products = _off_constants(chain, "LM", "operator_norm_l20")
-    est = abs(theta)
-    certified = float(np.linalg.norm(chain.symmetrized @ x))
-    return _report(est, min(certified, est + res), res, products, chain.n)
+    report, _x = _off_constants(chain, "LM", "operator_norm_l20")
+    return replace(report, estimate=abs(report.estimate))
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,9 @@ def _sparse_norm(
     v0: np.ndarray | None = None,
     *,
     symmetric: bool | None = None,
-    vectors: bool = True,
 ) -> tuple[float, np.ndarray | None]:
-    """(norm, Perron vector) of a compression; the vector is None unless
-    `vectors` is set and the compression is symmetric.
+    """(norm, Perron vector) of a compression; the vector is None unless the
+    compression is symmetric.
 
     A symmetric compression of a probability measure is entrywise
     non-negative, so its norm is its largest eigenvalue (Perron-Frobenius),
@@ -129,10 +128,8 @@ def _sparse_norm(
         a, v0 = sp.bmat([[None, a], [a.T, None]], format="csr"), None
     if v0 is None:
         v0 = np.ones(a.shape[0]) / math.sqrt(a.shape[0])
-    value, x, _res, _products = extremal_eigs(
-        a, "LA", v0, stage=f"compressed_norm ({n} rows)", vectors=vectors
-    )
-    return value, x if symmetric else None
+    report, x = extremal_eigs(a, "LA", v0, stage=f"compressed_norm ({n} rows)")
+    return report.estimate, x if symmetric else None
 
 
 def compressed_norm(graph: LabeledGraph, mu: ProbMeasure, radius: int) -> float:
@@ -203,15 +200,14 @@ def compression_ladder(
     symmetric = (full != full.T).nnz == 0
     norms = []
     x = None
-    for i, n_r in enumerate(sizes):
-        last = i == len(sizes) - 1
+    for n_r in sizes:
         v0 = None
         if x is not None:
             v0 = np.full(n_r, WARM_START_PAD)
             v0[: x.size] = np.abs(x)
-        norm, x = _sparse_norm(
-            full if last else full[:n_r, :n_r], v0, symmetric=symmetric, vectors=not last
-        )
+        # the largest ball is `full` itself, not a copy
+        ball = full if n_r == full.shape[0] else full[:n_r, :n_r]
+        norm, x = _sparse_norm(ball, v0, symmetric=symmetric)
         norms.append(norm)
     return CompressionLadder(radii, tuple(norms), limit_claim, claim_tag)
 

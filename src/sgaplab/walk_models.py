@@ -19,6 +19,7 @@ balls are tree balls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, Sequence
@@ -288,7 +289,7 @@ class HalfLineSpec:
     mode: str
 
     def __post_init__(self):
-        if self.q < 2 or not _is_prime_power(self.q):
+        if not _is_prime_power(self.q):
             raise ValueError(f"q must be a prime power >= 2, got {self.q}")
         if self.length < 2:
             raise ValueError("length must be >= 2")
@@ -297,12 +298,13 @@ class HalfLineSpec:
 
 
 def _is_prime_power(q: int) -> bool:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return False
+    if q < 2:
+        return False
+    # the least factor of q is at most isqrt(q), or q is prime
+    p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def halfline_measure(q: int, length: int) -> list[float]:
@@ -339,7 +341,7 @@ def build_pgl2_halfline(spec: HalfLineSpec) -> WeightedChain:
 def pgl2_cheeger_bound(q: int) -> float:
     """Closed-form lower bound for the Cheeger constant of the untruncated
     half-line walk: min((q-1)/(q+1), 4q^2/((q+1)(q^2-1)))."""
-    if q < 2 or not _is_prime_power(q):
+    if not _is_prime_power(q):
         raise ValueError(f"q must be a prime power >= 2, got {q}")
     return min((q - 1) / (q + 1), 4.0 * q * q / ((q + 1) * (q * q - 1)))
 

@@ -5,12 +5,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sgaplab as sg
 from sgaplab import cli
 from sgaplab import markov_core
 from sgaplab.errors import BudgetExceededError, ConvergenceError
-from sgaplab.expanders import MemberRecord, build_member_graph, u_block
+from sgaplab.expanders import MemberRecord, _point_moves, build_member_graph, u_block
 
 
 def test_member_graph_orders_and_regularity():
@@ -135,6 +136,31 @@ def test_block_family_matches_the_graph_path():
         assert rec.order == chain.n and rec.degree == 4 and rec.h_exact is None
         assert abs(rec.lambda_1 - lam) <= 1e-12 * lam
         assert abs(rec.norm_l20 - norm) <= 1e-12 * norm
+
+
+def _schreier_chain_route(p):
+    """(lambda_1, norm_l20) with block 0 as a WeightedChain through the
+    checked `lambda1` and `operator_norm_l20`, combined with the two
+    twisted blocks."""
+    points = p * p - 1
+    src, dst, _phase = _point_moves(p)
+    b0 = sp.csr_matrix((np.full(src.size, 0.25), (src, dst)), shape=(points, points)).tocoo()
+    chain = sg.WeightedChain(range(points), np.ones(points), np.column_stack([b0.row, b0.col, b0.data]))
+    lam, norm = sg.lambda1(chain).estimate, sg.operator_norm_l20(chain).estimate
+    non_residue = next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)
+    for k in (1, non_residue):
+        block = u_block(p, k)
+        v0 = np.cos(np.arange(1, block.shape[0] + 1) * 0.7) + 0.1
+        top = markov_core.extremal_eigs(block, "LA", v0, stage="oracle")[0].estimate
+        modulus = abs(markov_core.extremal_eigs(block, "LM", v0, stage="oracle")[0].estimate)
+        lam, norm = min(lam, 1.0 - top), max(norm, modulus)
+    return lam, norm
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_block_zero_matches_the_schreier_chain(p):
+    (rec,) = sg.build_family(2, [p]).members
+    assert (rec.lambda_1, rec.norm_l20) == _schreier_chain_route(p)
 
 
 def test_block_path_budget_and_moduli():

@@ -138,7 +138,6 @@ def test_lambda1_complete_graph():
     report = sg.lambda1(complete_graph_chain(3))
     assert report.estimate == pytest.approx(1.5, abs=1e-12)
     assert report.method == "dense"
-    assert report.certified_lower <= report.estimate + report.residual
 
 
 def test_lambda1_cycles_match_circulant_formula():
@@ -197,13 +196,13 @@ def test_dense_and_iterative_paths_agree(rng, monkeypatch):
     chains += [complete_graph_chain(9), cycle_chain(10)]
     for chain in chains:
         theta, _funcs = sg.chain_spectrum(chain)
-        top, _x, res, _products = _off_constants(chain, "LA", "test")
-        assert top == pytest.approx(float(theta[1]), abs=1e-8)
-        assert res <= ITER_RESIDUAL_TOL
-        widest, _x, res, _products = _off_constants(chain, "LM", "test")
+        top, _x = _off_constants(chain, "LA", "test")
+        assert top.estimate == pytest.approx(float(theta[1]), abs=1e-8)
+        assert top.residual <= ITER_RESIDUAL_TOL
+        widest, _x = _off_constants(chain, "LM", "test")
         want = max(abs(float(theta[1])), abs(float(theta[-1])))
-        assert abs(widest) == pytest.approx(want, abs=1e-8)
-        assert res <= ITER_RESIDUAL_TOL
+        assert abs(widest.estimate) == pytest.approx(want, abs=1e-8)
+        assert widest.residual <= ITER_RESIDUAL_TOL
 
 
 def test_lanczos_failures_raise_convergence_error(monkeypatch):
@@ -216,15 +215,26 @@ def test_lanczos_failures_raise_convergence_error(monkeypatch):
     assert "lambda1" in str(err.value) and "600 states" in str(err.value)
 
 
+def test_reports_and_errors_name_the_method_alike(monkeypatch):
+    assert sg.lambda1(cycle_chain(600)).method == "lanczos"
+
+    def stall(*_args, **_kwargs):
+        raise markov_core.spla.ArpackNoConvergence("No convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(markov_core.spla, "eigsh", stall)
+    with pytest.raises(ConvergenceError, match="lambda1: lanczos "):
+        sg.lambda1(cycle_chain(600))
+
+
 def _perturbed_ritz_pair(monkeypatch):
     """Make every Lanczos solve return its Ritz vector tilted by 1e-6."""
     eigsh = markov_core.spla.eigsh
 
     def tilted(*args, **kwargs):
-        theta, vecs = eigsh(*args, **{**kwargs, "return_eigenvectors": True})
+        theta, vecs = eigsh(*args, **kwargs)
         vecs = vecs + 1e-6 * np.cos(np.arange(vecs.shape[0]))[:, None]
         vecs /= np.linalg.norm(vecs, axis=0)
-        return (theta, vecs) if kwargs.get("return_eigenvectors", True) else theta
+        return theta, vecs
 
     monkeypatch.setattr(markov_core.spla, "eigsh", tilted)
 
@@ -236,7 +246,11 @@ def _perturbed_ritz_pair(monkeypatch):
     (lambda: sg.compressed_norm(sg.build_tree(4, 6), sg.ProbMeasure.uniform(
         [sg.free_word(2, [s]) for s in (1, -1, 2, -2)]), 6), "compressed_norm (1457 rows)", "1457 states"),
     (lambda: sg.build_family(2, [17]), "u-block k=1 of SL_2(F_17) (576 rows)", "576 states"),
-], ids=["lambda1", "operator_norm_l20", "expander_bound_check", "compressed_norm", "twisted_block"])
+    # radius 5 (485 rows) is dense; the last radius, 6, is checked too
+    (lambda: sg.compression_ladder(sg.build_tree(4, 6), sg.ProbMeasure.uniform(
+        [sg.free_word(2, [s]) for s in (1, -1, 2, -2)]), [5, 6]), "compressed_norm (1457 rows)", "1457 states"),
+], ids=["lambda1", "operator_norm_l20", "expander_bound_check", "compressed_norm", "twisted_block",
+        "ladder_last_radius"])
 def test_unconverged_ritz_pair_raises_naming_stage_and_size(monkeypatch, solve, stage, size):
     _perturbed_ritz_pair(monkeypatch)
     with pytest.raises(ConvergenceError) as err:
@@ -272,12 +286,10 @@ def test_constant_eigenvector_and_m_orthogonality(rng):
 
 def test_spectral_report_validation():
     with pytest.raises(ValueError):
-        sg.SpectralReport(estimate=1.0, certified_lower=2.0, iterations=1, residual=0.0, method="dense")
-    with pytest.raises(ValueError):
-        sg.SpectralReport(estimate=1.0, certified_lower=0.5, iterations=1, residual=-1.0, method="dense")
-    rep = sg.SpectralReport(estimate=1.0, certified_lower=0.9, iterations=3, residual=0.01, method="lanczos")
+        sg.SpectralReport(estimate=1.0, iterations=1, residual=-1.0, method="dense")
+    rep = sg.SpectralReport(estimate=1.0, iterations=3, residual=0.01, method="lanczos")
     assert dataclasses.asdict(rep) == {
-        "estimate": 1.0, "certified_lower": 0.9, "iterations": 3, "residual": 0.01, "method": "lanczos",
+        "estimate": 1.0, "iterations": 3, "residual": 0.01, "method": "lanczos",
     }
 
 

@@ -112,6 +112,16 @@ def test_halfline_spec_validation():
         sg.HalfLineSpec(q=2, length=5, mode="open")
 
 
+def test_prime_power_check_divides_up_to_the_square_root():
+    # 2^31 - 1 is prime: trial division by every p <= q ran past 20 s
+    for q in (2**31 - 1, 3**19):
+        assert sg.HalfLineSpec(q=q, length=5, mode="lumped").q == q
+        assert 0.0 < sg.pgl2_cheeger_bound(q) < 1.0
+    for q in (2 * (2**31 - 1), 12):
+        with pytest.raises(ValueError, match="prime power"):
+            sg.HalfLineSpec(q=q, length=5, mode="lumped")
+
+
 # ---------------------------------------------------------------------------
 # Cayley graphs
 # ---------------------------------------------------------------------------
