@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sgaplab as sg
 from sgaplab import markov_core
@@ -227,16 +228,21 @@ def test_reports_and_errors_name_the_method_alike(monkeypatch):
 
 
 def _perturbed_ritz_pair(monkeypatch):
-    """Make every Lanczos solve return its Ritz vector tilted by 1e-6."""
-    eigsh = markov_core.spla.eigsh
+    """Make every Lanczos solve return its Ritz vector tilted by 1e-6: ARPACK's,
+    and the warm branch's, through the tridiagonal eigenvectors of its
+    cycles."""
 
-    def tilted(*args, **kwargs):
-        theta, vecs = eigsh(*args, **kwargs)
-        vecs = vecs + 1e-6 * np.cos(np.arange(vecs.shape[0]))[:, None]
-        vecs /= np.linalg.norm(vecs, axis=0)
-        return theta, vecs
+    def tilt(solve):
+        def tilted(*args, **kwargs):
+            theta, vecs = solve(*args, **kwargs)
+            vecs = vecs + 1e-6 * np.cos(np.arange(vecs.shape[0]))[:, None]
+            vecs /= np.linalg.norm(vecs, axis=0)
+            return theta, vecs
 
-    monkeypatch.setattr(markov_core.spla, "eigsh", tilted)
+        return tilted
+
+    monkeypatch.setattr(markov_core.spla, "eigsh", tilt(markov_core.spla.eigsh))
+    monkeypatch.setattr(markov_core.sla, "eigh_tridiagonal", tilt(markov_core.sla.eigh_tridiagonal))
 
 
 @pytest.mark.parametrize("solve, stage, size", [
@@ -246,7 +252,8 @@ def _perturbed_ritz_pair(monkeypatch):
     (lambda: sg.compressed_norm(sg.build_tree(4, 6), sg.ProbMeasure.uniform(
         [sg.free_word(2, [s]) for s in (1, -1, 2, -2)]), 6), "compressed_norm (1457 rows)", "1457 states"),
     (lambda: sg.build_family(2, [17]), "u-block k=1 of SL_2(F_17) (576 rows)", "576 states"),
-    # radius 5 (485 rows) is dense; the last radius, 6, is checked too
+    # radius 5 (485 rows) is dense; the last radius, 6, is warm-started from
+    # it and checked too
     (lambda: sg.compression_ladder(sg.build_tree(4, 6), sg.ProbMeasure.uniform(
         [sg.free_word(2, [s]) for s in (1, -1, 2, -2)]), [5, 6]), "compressed_norm (1457 rows)", "1457 states"),
 ], ids=["lambda1", "operator_norm_l20", "expander_bound_check", "compressed_norm", "twisted_block",
@@ -256,6 +263,23 @@ def test_unconverged_ritz_pair_raises_naming_stage_and_size(monkeypatch, solve, 
     with pytest.raises(ConvergenceError) as err:
         solve()
     assert stage in str(err.value) and size in str(err.value)
+
+
+def test_stalled_warm_start_raises_naming_stage_and_size(monkeypatch):
+    # the path on 600 vertices has a top gap of about 4e-5: short restarted
+    # cycles from the constant vector stall, and ARPACK, which takes over,
+    # is made to fail too; the error counts the warm branch's products
+    path = sp.diags([0.5, 0.5], [-1, 1], shape=(600, 600), format="csr")
+
+    def no_convergence(*_args, **_kwargs):
+        raise markov_core.spla.ArpackNoConvergence("No convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(markov_core.spla, "eigsh", no_convergence)
+    with pytest.raises(ConvergenceError, match=r"path ball: lanczos \(which=LA\) did not converge "
+                       r"on 600 states after (\d+) products") as err:
+        markov_core.extremal_eigs(path, "LA", np.ones(600), stage="path ball", warm=True)
+    products = int(re.search(r"after (\d+) products", str(err.value)).group(1))
+    assert products >= markov_core.WARM_CYCLES * markov_core.WARM_BASIS
 
 
 def test_rayleigh_identity_dirichlet_form(rng):

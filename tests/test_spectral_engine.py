@@ -156,6 +156,65 @@ def test_incremental_ladder_matches_per_radius_norms(case):
         assert got == pytest.approx(sg.compressed_norm(graph, mu, r), rel=1e-12, abs=0.0)
 
 
+def _solve_log(monkeypatch):
+    """The reports of the ladder's solves and the sizes of its ARPACK calls."""
+    reports, arpack_sizes = [], []
+    solve, eigsh = se.extremal_eigs, markov_core.spla.eigsh
+
+    def logged_solve(*args, **kwargs):
+        report, x = solve(*args, **kwargs)
+        reports.append(report)
+        return report, x
+
+    def logged_eigsh(op, *args, **kwargs):
+        arpack_sizes.append(op.shape[0])
+        return eigsh(op, *args, **kwargs)
+
+    monkeypatch.setattr(se, "extremal_eigs", logged_solve)
+    monkeypatch.setattr(markov_core.spla, "eigsh", logged_eigsh)
+    return reports, arpack_sizes
+
+
+def test_torus_ladder_solves_warm_past_its_first_sparse_radius(monkeypatch):
+    # its norms match compressed_norm: test_incremental_ladder_matches_per_radius_norms
+    graph, mu = _torus(60)
+    radii = list(range(int(graph.distances_from_basepoint.max()) + 1))
+    sizes = [compressed_operator(graph, mu, r).shape[0] for r in radii]
+    first_sparse = next(n for n in sizes if n > markov_core.DENSE_LIMIT)
+    reports, arpack_sizes = _solve_log(monkeypatch)
+    sg.compression_ladder(graph, mu, radii)
+    assert set(arpack_sizes) <= {first_sparse}
+    later = [r.method for n, r in zip(sizes, reports, strict=True) if n > first_sparse]
+    assert later and set(later) == {"warm-lanczos"}
+
+
+def _cycle_graph(n: int):
+    words = [sg.free_word(1, [1]), sg.free_word(1, [-1])]
+    step = np.arange(n)
+    graph = sg.LabeledGraph(
+        n, words, [str(w) for w in words], [1, 0],
+        np.concatenate([step, step]), np.concatenate([(step + 1) % n, (step - 1) % n]),
+        np.repeat([0, 1], n), basepoint=0,
+    )
+    return graph, sg.ProbMeasure.uniform(words)
+
+
+def test_ladder_past_the_warm_cap_falls_back_to_arpack(monkeypatch):
+    # balls of the 600-cycle are paths, whose top gap (about 6e-5 at 513
+    # rows) the short warm cycles cannot resolve within their cap
+    graph, mu = _cycle_graph(600)
+    radii = [255, 256, 257]
+    reports, arpack_sizes = _solve_log(monkeypatch)
+    norms = sg.compression_ladder(graph, mu, radii).norms
+    assert arpack_sizes == [513, 515]
+    cap = markov_core.WARM_CYCLES * markov_core.WARM_BASIS
+    assert [r.method for r in reports[1:]] == ["lanczos", "lanczos"]
+    assert all(r.iterations > cap for r in reports[1:])
+    for r, got in zip(radii, norms):
+        want = np.linalg.eigvalsh(compressed_operator(graph, mu, r).toarray())[-1]
+        assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_relabelled_ladder_matches_the_original():
     graph, mu = _torus(10)
     radii = list(range(int(graph.distances_from_basepoint.max()) + 1))
