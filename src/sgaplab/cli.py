@@ -13,12 +13,24 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import sys
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
+
+import numpy as np
+
+from . import cheeger as ch
+from . import expanders as ex
+from . import group_algebra as ga
+from . import lyapunov as ly
+from . import markov_core as mc
+from . import spectral_engine as se
+from . import walk_models as wm
+from .errors import BudgetExceededError, ConvergenceError, SgapError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,6 +48,15 @@ CITATIONS = {
     "lyapunov": "Furstenberg 1963; Guivarc'h: growth of random matrix products",
 }
 
+# return-prob presets: name -> (help text, measure for --rank)
+_PRESETS = {
+    "free-symmetric": ("uniform on all signed generators",
+                       lambda rank: ga.ProbMeasure.uniform(ga.free_generators(rank))),
+    "z": ("walk on the integers", lambda rank: ga.ProbMeasure.uniform(ga.free_generators(1))),
+    "free-ab": ("uniform on the two positive generators",
+                lambda rank: ga.ProbMeasure.uniform([ga.free_word(2, [1]), ga.free_word(2, [2])])),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -43,76 +64,69 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on the first call.  The common
+    options go after each subcommand's own, in every --help as well."""
     parser = _Parser(prog="sgaplab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--output", default=None, help="write to this path instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--no-timestamp", action="store_true")
-        p.add_argument("--cite", action="store_true", help="print the literature source and exit")
 
     p = sub.add_parser("tree-norm", help="compressed norm of a regular-tree ball")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--ladder", action="store_true", help="include every radius up to depth")
-    common(p)
 
     p = sub.add_parser("return-prob", help="return-probability roots r_n")
     p.add_argument(
         "--preset",
-        choices=("free-symmetric", "z", "free-ab"),
+        choices=tuple(_PRESETS),
         default=None,
-        help="free-symmetric: uniform on all signed generators; z: walk on the integers; free-ab: uniform on the two positive generators",
+        help="; ".join(f"{name}: {text}" for name, (text, _measure) in _PRESETS.items()),
     )
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--n-max", type=int, default=1000)
     p.add_argument("--measure-file", default=None, help="JSON measure overriding --preset")
-    common(p)
 
     p = sub.add_parser("pgl2", help="truncated half-line walk diagnostics")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trunc", type=int, required=True)
     p.add_argument("--mode", choices=("lumped", "compression"), default="lumped")
-    common(p)
 
     p = sub.add_parser("cheeger", help="Cheeger constant of a chain from JSON")
     p.add_argument("--input", required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true")
     group.add_argument("--sweep", action="store_true")
-    common(p)
 
     p = sub.add_parser("cayley", help="Cayley graph of SL_n(F_p) with elementary generators")
     p.add_argument("--n", type=int, choices=(2, 3), required=True)
     p.add_argument("--p", type=int, required=True)
-    common(p)
 
     p = sub.add_parser("torus", help="compressed norms over a dual-action orbit ladder")
     p.add_argument("--radius", type=int, default=20, help="sup-norm truncation of the lattice ball")
     p.add_argument("--basepoint", default="1,0")
     p.add_argument("--ladder-step", type=int, default=1)
-    common(p)
 
     p = sub.add_parser("bernoulli", help="compressed norm over a configuration-shift orbit")
     p.add_argument("--config", default="e", help="comma-separated words, e.g. 'e' or 'e,a'")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--radius", type=int, default=6)
-    common(p)
 
     p = sub.add_parser("expanders", help="certificate for SL_n congruence quotients")
     p.add_argument("--n", type=int, choices=(2, 3), required=True)
     p.add_argument("--primes", required=True, help="comma-separated primes")
-    common(p)
 
     p = sub.add_parser("lyapunov", help="Lyapunov estimate, exact small-n table, and the spectral bound")
     p.add_argument("--n-steps", type=int, default=2000)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--u-max", type=int, default=6)
-    common(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument("--output", default=None, help="write to this path instead of stdout")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--no-timestamp", action="store_true")
+        p.add_argument("--cite", action="store_true", help="print the literature source and exit")
     return parser
 
 
@@ -153,8 +167,6 @@ def _emit(args, params: dict, result, table: Iterable[Sequence], lines: list[str
 # ---------------------------------------------------------------------------
 
 def _run_tree_norm(args) -> int:
-    from . import spectral_engine as se
-
     radii = range(args.depth + 1) if args.ladder else [args.depth]
     ladder = se.tree_ball_ladder(args.degree, radii)
     result = {
@@ -172,26 +184,12 @@ def _run_tree_norm(args) -> int:
     return _emit(args, params, result, [("radius", "norm"), *zip(ladder.radii, ladder.norms)], lines)
 
 
-def _measure_for_preset(preset: str, rank: int):
-    from . import group_algebra as ga
-
-    if preset == "free-symmetric":
-        return ga.ProbMeasure.uniform(ga.free_generators(rank))
-    if preset == "z":
-        return ga.ProbMeasure.uniform(ga.free_generators(1))
-    if preset == "free-ab":
-        return ga.ProbMeasure.uniform([ga.free_word(2, [1]), ga.free_word(2, [2])])
-    raise ValueError(f"unknown preset {preset!r}")
-
-
 def _run_return_prob(args) -> int:
-    from . import group_algebra as ga
-
     if args.measure_file:
         with open(args.measure_file) as fh:
             mu = ga.ProbMeasure.from_json(fh.read())
     elif args.preset:
-        mu = _measure_for_preset(args.preset, args.rank)
+        mu = _PRESETS[args.preset][1](args.rank)
     else:
         print("ERROR:usage:need --preset or --measure-file", file=sys.stderr)
         return EXIT_USAGE
@@ -214,12 +212,6 @@ def _run_return_prob(args) -> int:
 
 
 def _run_pgl2(args) -> int:
-    import numpy as np
-
-    from . import cheeger as ch
-    from . import markov_core as mc
-    from . import walk_models as wm
-
     spec = wm.HalfLineSpec(q=args.q, length=args.trunc, mode=args.mode)
     chain = wm.build_pgl2_halfline(spec)
     violation = mc.check_detailed_balance(chain)
@@ -247,9 +239,6 @@ def _run_pgl2(args) -> int:
 
 
 def _run_cheeger(args) -> int:
-    from . import cheeger as ch
-    from . import markov_core as mc
-
     with open(args.input) as fh:
         chain = mc.chain_from_json(fh.read())
     report = ch.cheeger_sweep(chain) if args.sweep else ch.cheeger_exact(chain)
@@ -262,11 +251,6 @@ def _run_cheeger(args) -> int:
 
 
 def _run_cayley(args) -> int:
-    from . import expanders as ex
-    from . import markov_core as mc
-    from . import spectral_engine as se
-    from . import walk_models as wm
-
     graph = ex.build_member_graph(args.n, args.p)
     chain = wm.graph_to_simple_walk_chain(graph)
     lam_report = mc.lambda1(chain)
@@ -283,16 +267,14 @@ def _run_cayley(args) -> int:
 
 
 def _run_torus(args) -> int:
-    from . import group_algebra as ga
-    from . import spectral_engine as se
-    from . import walk_models as wm
-
+    if args.ladder_step < 1:
+        raise ValueError(f"--ladder-step must be at least 1, got {args.ladder_step}")
     base = tuple(int(x) for x in args.basepoint.split(","))
     gens = wm.sanov_generators()
     graph = wm.build_torus_schreier(gens, base, args.radius)
     mu = ga.ProbMeasure.uniform(gens)
     max_r = int(graph.distances_from_basepoint.max())
-    radii = list(range(0, max_r + 1, max(1, args.ladder_step)))
+    radii = list(range(0, max_r + 1, args.ladder_step))
     if radii[-1] != max_r:
         radii.append(max_r)
     ladder = se.compression_ladder(
@@ -317,15 +299,12 @@ def _require_printable_ball(d: int, radius: int) -> None:
     """Fail before the solve if the vertex count of the radius ball of the
     d-regular tree has more decimal digits than the interpreter converts to
     str (sys.get_int_max_str_digits(); 0 means no limit)."""
-    from .errors import BudgetExceededError
-    from .walk_models import tree_ball_size
-
     limit = sys.get_int_max_str_digits()
     if not limit or radius < 0 or d < 3:
         return
     # the count is at least (d - 1)^radius: the float test settles huge radii
     # without building the integer, the exact one the rest
-    if radius * math.log10(d - 1) > limit + 1 or tree_ball_size(d, radius) >= 10**limit:
+    if radius * math.log10(d - 1) > limit + 1 or wm.tree_ball_size(d, radius) >= 10**limit:
         raise BudgetExceededError(
             f"bernoulli radius {radius}: the orbit ball's vertex count has more "
             f"than {limit} decimal digits, the interpreter's int-to-str limit"
@@ -333,10 +312,6 @@ def _require_printable_ball(d: int, radius: int) -> None:
 
 
 def _run_bernoulli(args) -> int:
-    from . import group_algebra as ga
-    from . import spectral_engine as se
-    from . import walk_models as wm
-
     names = [w.strip() for w in args.config.split(",") if w.strip()]
     if not names:
         raise ValueError("configuration must be a non-empty finite set of words")
@@ -357,8 +332,6 @@ def _run_bernoulli(args) -> int:
 
 
 def _run_expanders(args) -> int:
-    from . import expanders as ex
-
     primes = [int(x) for x in args.primes.split(",") if x.strip()]
     cert = ex.build_family(args.n, primes)
     result = {
@@ -379,8 +352,6 @@ def _run_expanders(args) -> int:
 
 
 def _run_lyapunov(args) -> int:
-    from . import lyapunov as ly
-
     measure = ly.sanov_matrix_measure()
     estimate = ly.estimate_lyapunov(measure, args.n_steps, args.trials, args.seed)
     u_vals = ly.exact_u_n(ly.sanov_group_measure(), args.u_max)
@@ -419,11 +390,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "cite", False):
+    if args.cite:
         print(CITATIONS[args.subcommand])
         return EXIT_OK
-    from .errors import BudgetExceededError, ConvergenceError, SgapError
-
     try:
         return _RUNNERS[args.subcommand](args)
     except ConvergenceError as exc:

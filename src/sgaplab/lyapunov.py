@@ -13,12 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetExceededError
 from .group_algebra import WEIGHT_SUM_TOL, ProbMeasure, convolution_powers
 from .walk_models import sanov_generators
 
 EXACT_POWER_CAP = 8
 # Factor indices held at once by estimate_lyapunov: 2^19 int64 entries.
 INDEX_BLOCK_ENTRIES = 1 << 19
+# Cap on n_steps * n_trials of estimate_lyapunov, checked before any draw:
+# ten times the largest run in use (2000 x 200).  One trial's indices are
+# drawn together, so it also caps n_steps, and a block's indices at 32 MB.
+FACTOR_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -133,13 +138,19 @@ def estimate_lyapunov(
     Each trial draws its factor sequence from a substream keyed by
     (seed, trial index), so results are bitwise reproducible and independent
     of evaluation order.  Trials run in blocks that step together with one
-    (trials, d, d) matrix product per step; a block's factor indices stay
-    near 4 MiB.
+    (trials, d, d) matrix product per step.  A block holds the factor
+    indices of as many trials as fit in INDEX_BLOCK_ENTRIES (4 MiB), and of
+    one trial when n_steps alone is more.  A run of more than FACTOR_BUDGET
+    factors raises BudgetExceededError before anything is drawn.
     """
     if isinstance(measure, ProbMeasure):
         measure = MatrixMeasure.from_group_measure(measure)
     if n_steps < 1 or n_trials < 1:
         raise ValueError("need n_steps >= 1 and n_trials >= 1")
+    if n_steps * n_trials > FACTOR_BUDGET:
+        raise BudgetExceededError(
+            f"{n_steps} steps x {n_trials} trials is over the factor budget {FACTOR_BUDGET}"
+        )
     block = max(1, INDEX_BLOCK_ENTRIES // n_steps)
     vals = np.concatenate(
         [

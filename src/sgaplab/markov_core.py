@@ -19,11 +19,15 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, DisconnectedChainError, NotReversibleError
+from .errors import BudgetExceededError, ConvergenceError, DisconnectedChainError, NotReversibleError
 
 ROW_SUM_TOL = 1e-12
 REVERSIBILITY_TOL = 1e-12
 DENSE_LIMIT = 512
+# Cap on the states of `chain_spectrum`, whose dense copy and eigenvectors
+# take 8 n^2 bytes each.  The largest pgl2 truncation whose weights do not
+# underflow (q = 2, trunc 1074) has 1,075 states.
+SPECTRUM_LIMIT = 2048
 ITER_RESIDUAL_TOL = 1e-10
 # The warm branch of `extremal_eigs`: Lanczos cycles of WARM_BASIS products,
 # at most WARM_CYCLES of them before ARPACK takes over.  Small top gaps
@@ -225,8 +229,13 @@ def chain_spectrum(chain: WeightedChain) -> tuple[np.ndarray, np.ndarray]:
     """Dense spectrum of the Markov operator in the m-weighted inner product.
 
     Returns eigenvalues in descending order and eigenvectors (columns) mapped
-    back to plain function coordinates, m-orthonormal.
+    back to plain function coordinates, m-orthonormal.  A chain of more than
+    SPECTRUM_LIMIT states raises BudgetExceededError before the dense copy.
     """
+    if chain.n > SPECTRUM_LIMIT:
+        raise BudgetExceededError(
+            f"dense spectrum of {chain.n} states is over the limit of {SPECTRUM_LIMIT} states"
+        )
     require_reversible(chain)
     s = chain.symmetrized.toarray()
     theta, vecs = np.linalg.eigh(s)

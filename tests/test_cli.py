@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 import sgaplab as sg
-from sgaplab import cli
+from sgaplab import cli, markov_core
 from sgaplab.errors import ConvergenceError
 from sgaplab.walk_models import tree_ball_size
 
@@ -233,6 +233,45 @@ def test_bernoulli_vertex_count_past_the_str_digit_limit_is_a_budget_error(capsy
         assert len(err) == 1 and err[0].startswith(f"ERROR:budget:bernoulli radius {r}:")
 
 
+def test_lyapunov_factors_over_budget_fail_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code = cli.run(["lyapunov", "--n-steps", "1000000000", "--trials", "1", "--no-timestamp"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR:budget:1000000000 steps x 1 trials")
+    assert peak < 1 << 20
+
+
+def path_chain(n: int) -> sg.WeightedChain:
+    """The simple walk on a path of n states."""
+    measure = [1.0] + [2.0] * (n - 2) + [1.0]
+    steps = [(i, i + 1, 1.0 / measure[i]) for i in range(n - 1)]
+    steps += [(i + 1, i, 1.0 / measure[i + 1]) for i in range(n - 1)]
+    return sg.WeightedChain([str(i) for i in range(n)], measure, steps)
+
+
+def test_sweep_over_the_spectrum_limit_fails_before_the_dense_copy(tmp_path, capsys):
+    n = markov_core.SPECTRUM_LIMIT + 1
+    chain = tmp_path / "path.json"
+    chain.write_text(sg.chain_to_json(path_chain(n)))
+    tracemalloc.start()
+    try:
+        code = cli.run(["cheeger", "--input", str(chain), "--sweep", "--no-timestamp"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ERROR:budget:dense spectrum of {n} states")
+    assert peak < 8 * n * n // 4
+    # the largest half-line chain whose weights do not underflow stays admitted
+    assert cli.run(["pgl2", "--q", "2", "--trunc", "1074", "--output", str(tmp_path / "q2.json")]) == 0
+
+
 def test_unknown_flag_is_usage_error():
     proc = run_cli("tree-norm", "--degree", "4", "--depth", "2", "--frobnicate")
     assert proc.returncode == 1
@@ -256,6 +295,13 @@ def test_torus_basepoint_of_wrong_dimension_is_invalid(basepoint, capsys):
     assert cli.run(["torus", "--basepoint", basepoint, "--no-timestamp"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR:invalid:")
+
+
+@pytest.mark.parametrize("step", ["0", "-2"])
+def test_torus_ladder_step_below_one_is_invalid(step, capsys):
+    assert cli.run(["torus", "--radius", "4", "--ladder-step", step, "--no-timestamp"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"ERROR:invalid:--ladder-step must be at least 1, got {step}"]
 
 
 def test_cheeger_subcommand_reads_chain_json(tmp_path):
@@ -291,6 +337,13 @@ def test_output_file_and_cite(tmp_path):
     cite = run_cli("expanders", "--n", "2", "--primes", "3", "--cite")
     assert cite.returncode == 0
     assert "expander" in cite.stdout.lower() or "Margulis" in cite.stdout
+
+
+@pytest.mark.parametrize("subcommand", sorted(SMALL_RUNS))
+def test_cite_prints_one_source_line(subcommand, tmp_path, capsys):
+    assert cli.run(small_argv(subcommand, tmp_path) + ["--cite"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out == cli.CITATIONS[subcommand] + "\n"
 
 
 def test_bernoulli_and_torus_subcommands():
@@ -375,3 +428,23 @@ def test_run_config_echoed_in_header():
     assert blob["config"]["preset"] == "z"
     assert blob["config"]["n_max"] == 30
     assert blob["result"]["final_root"] > 0.9
+
+
+def test_one_process_matches_fresh_processes_and_builds_the_parser_once(tmp_path, capsys):
+    chain = small_argv("cheeger", tmp_path)[2]
+    runs = [
+        ["cheeger", "--input", chain, "--sweep", "--no-timestamp"],
+        ["cheeger", "--input", chain, "--exact", "--no-timestamp"],
+        ["pgl2", "--q", "2"],
+        ["tree-norm", "--degree", "4", "--depth", "3", "--ladder", "--no-timestamp"],
+    ]
+    cli.build_parser.cache_clear()
+    codes = []
+    for argv in runs:
+        codes.append(cli.run(argv))
+        got = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (codes[-1], got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert codes == [0, 0, 1, 0]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(runs) - 1)
