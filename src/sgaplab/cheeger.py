@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConvergenceError
 from .markov_core import (
     WeightedChain,
     chain_spectrum,
@@ -132,8 +132,9 @@ def cheeger_exact(chain: WeightedChain) -> CutReport:
 
     recomputed = cut_ratio(chain, best)
     if abs(recomputed - h) > RECOMPUTE_TOL:
-        raise AssertionError(
-            f"cut recomputation drifted: {recomputed!r} vs {h!r}"
+        raise ConvergenceError(
+            f"cheeger_exact: the cut ratio of subset {best} drifted: "
+            f"{recomputed!r} recomputed against {h!r} enumerated"
         )
     return CutReport(
         h=h,

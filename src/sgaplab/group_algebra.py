@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -101,8 +102,22 @@ def free_generators(rank: int) -> list[FreeWord]:
     return [free_word(rank, [s]) for i in range(1, rank + 1) for s in (i, -i)]
 
 
+def _as_int(x) -> int:
+    """`x` as an exact integer; 1.5, 2.0, None, True and "3" are ValueErrors,
+    not truncated or converted."""
+    try:
+        if not isinstance(x, bool):
+            return operator.index(x)
+    except TypeError:
+        pass
+    raise ValueError(f"{x!r} is not an integer")
+
+
 def _int_rows(entries) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(int(x) for x in row) for row in entries)
+    try:
+        rows = tuple(tuple(map(_as_int, row)) for row in entries)
+    except TypeError:  # entries or a row is not a sequence
+        rows = ()
     d = len(rows)
     if d == 0 or any(len(r) != d for r in rows):
         raise ValueError("matrix entries must form a non-empty square array")
@@ -420,16 +435,20 @@ class ProbMeasure:
                 raise ValueError("measure JSON 'support' must be a list of {\"elem\", \"w\"} objects")
             pairs = []
             for rec in support:
-                raw = rec["elem"]
+                raw, w = rec["elem"], rec["w"]
                 if kind == "free":
-                    g: GroupElement = free_word(int(params["rank"]), raw)
+                    if not isinstance(raw, list):
+                        raise ValueError(f"free-word element {raw!r} must be a list of letters")
+                    g: GroupElement = free_word(_as_int(params["rank"]), map(_as_int, raw))
                 elif kind == "matmodp":
-                    g = mat_mod_p(int(params["p"]), raw)
+                    g = mat_mod_p(_as_int(params["p"]), raw)
                 elif kind == "matz":
                     g = mat_z(raw)
                 else:
                     raise ValueError(f"unknown variant {kind!r}")
-                pairs.append((g, float(rec["w"])))
+                if isinstance(w, bool) or not isinstance(w, (int, float)):
+                    raise ValueError(f"weight {w!r} is not a number")
+                pairs.append((g, float(w)))
         except KeyError as exc:
             raise ValueError(f"measure JSON lacks the key {exc.args[0]!r}") from None
         return cls(pairs)
@@ -709,33 +728,28 @@ def special_linear_order(d: int, p: int) -> int:
 def explore_orbit(base, moves, inside=None):
     """Breadth-first orbit of the hashable point `base` under the maps `moves`.
 
-    Returns (points, edges, stubs): the points in discovery order, so their
-    distance from `base` never decreases along the list; the edges as three
-    parallel lists (sources, targets, move indices) in visit order; and the
-    stubs as two (sources, move indices), one for each move to a new point
-    that fails `inside(point, depth)`, depth being that point's distance
-    from `base`.  Raises BudgetExceededError once more than ORBIT_BUDGET
-    points are found.
+    Returns (points, target): the points in discovery order, so their
+    distance from `base` never decreases along the list, and the action
+    table as one flat list in (point, move) order.  Entry i * len(moves) + k
+    is the index of the image of point i under move k, or -1 for a stub: a
+    move to a new point that fails `inside(point, depth)`, depth being that
+    point's distance from `base`.  Raises BudgetExceededError once more than
+    ORBIT_BUDGET points are found.
     """
     index = {base: 0}
     points = [base]
     depth = [0]
-    edge_src: list[int] = []
-    edge_dst: list[int] = []
-    edge_move: list[int] = []
-    stub_src: list[int] = []
-    stub_move: list[int] = []
+    target: list[int] = []
     head = 0
     while head < len(points):
         v = points[head]
         d = depth[head] + 1
-        for k, move in enumerate(moves):
+        for move in moves:
             w = move(v)
             iw = index.get(w)
             if iw is None:
                 if inside is not None and not inside(w, d):
-                    stub_src.append(head)
-                    stub_move.append(k)
+                    target.append(-1)
                     continue
                 iw = len(points)
                 if iw >= ORBIT_BUDGET:
@@ -743,11 +757,9 @@ def explore_orbit(base, moves, inside=None):
                 index[w] = iw
                 points.append(w)
                 depth.append(d)
-            edge_src.append(head)
-            edge_dst.append(iw)
-            edge_move.append(k)
+            target.append(iw)
         head += 1
-    return points, (edge_src, edge_dst, edge_move), (stub_src, stub_move)
+    return points, target
 
 
 def group_closure(generators: Sequence[GroupElement]) -> set[GroupElement]:
@@ -756,7 +768,7 @@ def group_closure(generators: Sequence[GroupElement]) -> set[GroupElement]:
         raise ValueError("need at least one generator")
     gens = list(generators) + [inverse(g) for g in generators]
     moves = [partial(mul, g) for g in gens]
-    points, _edges, _stubs = explore_orbit(identity_like(gens[0]), moves)
+    points, _target = explore_orbit(identity_like(gens[0]), moves)
     return set(points)
 
 

@@ -426,9 +426,17 @@ def chain_from_json_dict(data: dict) -> WeightedChain:
         states, measure, transitions = data["states"], data["measure"], data["transitions"]
     except KeyError as exc:
         raise ValueError(f"chain JSON lacks the key {exc.args[0]!r}") from None
-    if not (isinstance(states, list) and isinstance(transitions, list)
-            and all(isinstance(t, list) for t in transitions)):
-        raise ValueError("chain JSON needs a 'states' list and a 'transitions' list of [i, j, p] triples")
+    def numbers(row) -> bool:
+        return isinstance(row, list) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in row
+        )
+
+    if not (isinstance(states, list) and numbers(measure) and isinstance(transitions, list)
+            and all(map(numbers, transitions))):
+        raise ValueError(
+            "chain JSON needs a 'states' list, a 'measure' list of numbers and a "
+            "'transitions' list of [i, j, p] triples of numbers"
+        )
     return WeightedChain(
         states=states,
         measure=measure,

@@ -4,17 +4,19 @@ Cayley graphs of finite matrix groups, and Schreier graphs of the dual torus
 action and of shift actions on finite configurations.
 
 Graphs use left actions throughout: the edge (v -> g.v) carries the label of
-g, and the reverse edge carries the label of g^-1.  Edges that would leave a
-truncated vertex set are recorded as boundary stubs so that compressions of
-the ambient operator stay genuine subspace restrictions.
+g, and the reverse edge carries the label of g^-1.  A graph is its action
+table, `target[v, k]` = the vertex generator k takes v to; a move that would
+leave a truncated vertex set is a boundary stub, -1 in the table, so that
+compressions of the ambient operator stay genuine subspace restrictions.
 
 Cayley and torus Schreier graphs are orbits of a group action, and one
 enumeration builds them: `group_algebra.explore_orbit`, given the action of
 each generator as a move and, for truncated orbits, the rule that keeps a
-point inside.  It numbers vertices in breadth-first order, so distance from
-the basepoint never decreases along the vertex index.  Configuration-shift
-orbits need no enumeration: the free group acts freely on them, so their
-balls are tree balls.
+point inside, writes the table row by row.  It numbers vertices in
+breadth-first order, so distance from the basepoint never decreases along
+the vertex index; `build_tree` fills its table in the same order.
+Configuration-shift orbits need no enumeration: the free group acts freely
+on them, so their balls are tree balls.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from functools import cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BudgetExceededError
 from .group_algebra import (
@@ -51,67 +52,71 @@ TREE_BUDGET = 4_000_000
 class LabeledGraph:
     """Generator-labeled action graph on an indexed vertex set.
 
-    Every vertex has exactly one outgoing edge per generator; an edge whose
-    target fell outside the truncation is kept as a stub (source, generator).
-    `generators[inverse_of[k]]` is the inverse of `generators[k]`.
+    `target[v, k]` is the vertex that generator k takes v to, or -1 for a
+    stub, a move that leaves the truncation, so every vertex has one edge or
+    stub per generator.  `generators[inverse_of[k]]` is the inverse of
+    `generators[k]`.  The edge and stub arrays are read-only arrays derived
+    from the table, in (vertex, generator) order.
     """
 
     def __init__(
         self,
-        n_vertices: int,
         generators: Sequence,
         gen_names: Sequence[str],
         inverse_of: Sequence[int],
-        edge_src,
-        edge_dst,
-        edge_gen,
-        stub_src=(),
-        stub_gen=(),
+        target,
         basepoint: int = 0,
         labels: Sequence[str] | None = None,
     ):
-        self.n_vertices = int(n_vertices)
         self.generators = tuple(generators)
         self.gen_names = tuple(gen_names)
         self.inverse_of = tuple(int(i) for i in inverse_of)
-        self.edge_src = np.asarray(edge_src, dtype=np.int64)
-        self.edge_dst = np.asarray(edge_dst, dtype=np.int64)
-        self.edge_gen = np.asarray(edge_gen, dtype=np.int64)
-        self.stub_src = np.asarray(stub_src, dtype=np.int64)
-        self.stub_gen = np.asarray(stub_gen, dtype=np.int64)
+        self.target = np.asarray(target, dtype=np.int64)
+        self.target.setflags(write=False)
         self.basepoint = int(basepoint)
         self.labels = tuple(labels) if labels is not None else None
-        for a in (self.edge_src, self.edge_dst, self.edge_gen, self.stub_src, self.stub_gen):
-            a.setflags(write=False)
         validate_labeled_graph(self)
+
+    @property
+    def n_vertices(self) -> int:
+        return self.target.shape[0]
 
     @property
     def n_generators(self) -> int:
         return len(self.generators)
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, ...]:
+        src, gen = np.nonzero(self.target >= 0)
+        return _read_only(src, self.target[src, gen], gen)
+
+    @cached_property
+    def _stubs(self) -> tuple[np.ndarray, ...]:
+        return _read_only(*np.nonzero(self.target < 0))
+
+    edge_src = property(lambda self: self._edges[0])
+    edge_dst = property(lambda self: self._edges[1])
+    edge_gen = property(lambda self: self._edges[2])
+    stub_src = property(lambda self: self._stubs[0])
+    stub_gen = property(lambda self: self._stubs[1])
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
     @cached_property
     def distances_from_basepoint(self) -> np.ndarray:
-        """Graph distance from the basepoint (-1 for unreachable vertices)."""
-        n = self.n_vertices
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[self.basepoint] = 0
-        if self.edge_src.size == 0:
-            return dist
-        # boolean entries add by "or", so parallel edges cannot overflow a count
-        adj = sp.csr_matrix(
-            (np.ones(self.edge_src.size, dtype=bool), (self.edge_dst, self.edge_src)),
-            shape=(n, n),
-        )
-        frontier = np.zeros(n, dtype=bool)
-        frontier[self.basepoint] = True
+        """Graph distance from the basepoint (-1 for unreachable vertices),
+        level by level over the rows of the table."""
+        dist = np.full(self.n_vertices, -1, dtype=np.int64)
+        frontier = np.array([self.basepoint])
         d = 0
-        while frontier.any():
-            d += 1
-            frontier = (adj @ frontier) & (dist < 0)
+        while frontier.size:
             dist[frontier] = d
+            d += 1
+            step = self.target[frontier].ravel()
+            step = step[step >= 0]
+            step = np.sort(step[dist[step] < 0])
+            frontier = step[np.diff(step, prepend=-1) > 0]
         return dist
 
     def __repr__(self) -> str:
@@ -121,45 +126,39 @@ class LabeledGraph:
         )
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def validate_labeled_graph(g: LabeledGraph) -> None:
-    """Check totality (one outgoing slot per generator per vertex, counting
-    stubs) and the presence of every inverse edge."""
+    """Check the shape and range of the action table and that every edge's
+    inverse edge leads back to its source."""
     k = g.n_generators
     if sorted(g.inverse_of) != list(range(k)):
         raise ValueError("inverse_of must be a permutation of the generators")
     for i, j in enumerate(g.inverse_of):
         if g.inverse_of[j] != i:
             raise ValueError("inverse_of must be an involution")
-    if g.n_vertices == 0:
+    if g.target.ndim != 2 or g.target.shape[1] != k:
+        raise ValueError(f"target must have one column per generator, got shape {g.target.shape}")
+    n = g.n_vertices
+    if n == 0:
         raise ValueError("graph needs at least one vertex")
-    if not (0 <= g.basepoint < g.n_vertices):
+    if not (0 <= g.basepoint < n):
         raise ValueError("basepoint out of range")
-    slots = np.concatenate([g.edge_src * k + g.edge_gen, g.stub_src * k + g.stub_gen])
-    slots.sort()
-    if slots.size != g.n_vertices * k or not np.array_equal(
-        slots, np.arange(g.n_vertices * k)
-    ):
-        raise ValueError("action is not total: each vertex needs one edge or stub per generator")
-    # inverse-edge presence: (dst, inv(gen)) must map back to src
-    edge_keys = g.edge_src * k + g.edge_gen
-    order = np.argsort(edge_keys)
-    sorted_keys = edge_keys[order]
-    sorted_dst = g.edge_dst[order]
-    inv = np.asarray(g.inverse_of)
-    want_keys = g.edge_dst * k + inv[g.edge_gen]
-    pos = np.searchsorted(sorted_keys, want_keys)
-    ok = (pos < sorted_keys.size) & (sorted_keys[np.minimum(pos, sorted_keys.size - 1)] == want_keys)
-    if not ok.all():
-        bad = int(np.nonzero(~ok)[0][0])
+    if g.target.size and not (-1 <= g.target.min() and g.target.max() < n):
+        raise ValueError(f"target entries must lie in [-1, {n})")
+    src, dst, gen = g.edge_src, g.edge_dst, g.edge_gen
+    back = g.target[dst, np.asarray(g.inverse_of, dtype=np.int64)[gen]]
+    if np.any(back < 0):
+        bad = int(np.flatnonzero(back < 0)[0])
+        raise ValueError(f"edge ({src[bad]} -> {dst[bad]}, gen {gen[bad]}) has no inverse edge")
+    if np.any(back != src):
+        bad = int(np.flatnonzero(back != src)[0])
         raise ValueError(
-            f"edge ({g.edge_src[bad]} -> {g.edge_dst[bad]}, gen {g.edge_gen[bad]}) "
-            "has no inverse edge"
-        )
-    back = sorted_dst[np.minimum(pos, sorted_keys.size - 1)]
-    if not np.array_equal(back, g.edge_src):
-        bad = int(np.nonzero(back != g.edge_src)[0][0])
-        raise ValueError(
-            f"inverse edge of ({g.edge_src[bad]} -> {g.edge_dst[bad]}) lands on "
+            f"inverse edge of ({src[bad]} -> {dst[bad]}) lands on "
             f"{back[bad]}, not back on the source"
         )
 
@@ -200,73 +199,25 @@ def build_tree(d: int, depth: int) -> LabeledGraph:
         inverse_of = list(range(d))
     gen_names = [element_label(g) if isinstance(g, FreeWord) else g for g in gens]
 
-    parent = np.full(n, -1, dtype=np.int64)
-    incoming = np.full(n, -1, dtype=np.int64)  # generator index that produced the vertex
-    level_start = [0, 1]
-    next_free = 1
-    current = np.array([0], dtype=np.int64)
-    for level in range(1, depth + 1):
-        if level == 1:
-            gen_rows = np.broadcast_to(np.arange(d), (1, d))
-            child_gens = gen_rows.reshape(-1)
-            parents_rep = np.zeros(d, dtype=np.int64)
-        else:
-            k = current.size
-            all_g = np.broadcast_to(np.arange(d), (k, d))
-            banned = np.asarray(inverse_of)[incoming[current]]
-            keep = all_g != banned[:, None]
-            child_gens = all_g[keep]
-            parents_rep = np.repeat(current, d - 1)
-        count = child_gens.size
-        children = np.arange(next_free, next_free + count, dtype=np.int64)
-        parent[children] = parents_rep
-        incoming[children] = child_gens
-        next_free += count
-        level_start.append(next_free)
-        current = children
-
-    non_root = np.arange(1, n, dtype=np.int64)
+    # one outward rule per level: every slot not yet filled, which is every
+    # generator at the root and all but the one back to the parent below it;
+    # the outer sphere's slots stay -1, the stubs
+    target = np.full((n, d), -1, dtype=np.int64)
     inv = np.asarray(inverse_of)
-    edge_src = np.concatenate([parent[non_root], non_root])
-    edge_dst = np.concatenate([non_root, parent[non_root]])
-    edge_gen = np.concatenate([incoming[non_root], inv[incoming[non_root]]])
+    labels = ["e"] if n <= TREE_LABEL_LIMIT else None
+    level = np.zeros(1, dtype=np.int64)
+    for _ in range(depth):
+        rows, gen = np.nonzero(target[level] < 0)
+        src = level[rows]
+        level = np.arange(level[-1] + 1, level[-1] + 1 + src.size)
+        target[src, gen] = level
+        target[level, inv[gen]] = src
+        if labels is not None:
+            labels += [
+                gen_names[k] + (labels[v] if v else "") for v, k in zip(src.tolist(), gen.tolist())
+            ]
 
-    # outermost sphere: remaining generator slots point out of the ball
-    outer = np.arange(level_start[-2], n, dtype=np.int64) if depth >= 1 else np.array([], dtype=np.int64)
-    if depth == 0:
-        stub_src = np.repeat(0, d)
-        stub_gen = np.arange(d)
-    else:
-        kk = outer.size
-        all_g = np.broadcast_to(np.arange(d), (kk, d))
-        banned = inv[incoming[outer]]
-        keep = all_g != banned[:, None]
-        stub_gen = all_g[keep]
-        stub_src = np.repeat(outer, d - 1)
-
-    labels = None
-    if n <= TREE_LABEL_LIMIT:
-        names = list(gen_names)
-        out = [""] * n
-        out[0] = "e"
-        for v in range(1, n):
-            prefix = names[incoming[v]]
-            out[v] = prefix if parent[v] == 0 else prefix + out[parent[v]]
-        labels = out
-
-    return LabeledGraph(
-        n_vertices=n,
-        generators=gens,
-        gen_names=gen_names,
-        inverse_of=inverse_of,
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        edge_gen=edge_gen,
-        stub_src=stub_src,
-        stub_gen=stub_gen,
-        basepoint=0,
-        labels=labels,
-    )
+    return LabeledGraph(gens, gen_names, inverse_of, target, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +347,12 @@ def _check_inverse_closed(generators: Sequence[GroupElement]) -> list[int]:
 def _orbit_graph(generators, inverse_of, orbit, label) -> LabeledGraph:
     """The labeled graph of an `explore_orbit` result; vertex i is the i-th
     point found, labeled by `label(point)`."""
-    points, (edge_src, edge_dst, edge_gen), (stub_src, stub_gen) = orbit
+    points, target = orbit
     return LabeledGraph(
-        n_vertices=len(points),
-        generators=tuple(generators),
-        gen_names=[element_label(g) for g in generators],
-        inverse_of=inverse_of,
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        edge_gen=edge_gen,
-        stub_src=stub_src,
-        stub_gen=stub_gen,
-        basepoint=0,
+        generators,
+        [element_label(g) for g in generators],
+        inverse_of,
+        np.reshape(np.array(target, dtype=np.int64), (len(points), len(generators))),
         labels=[label(v) for v in points],
     )
 

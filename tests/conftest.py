@@ -82,16 +82,13 @@ def relabel(graph: sg.LabeledGraph, seed: int) -> sg.LabeledGraph:
     """The same graph with its vertices renumbered by a seeded permutation,
     so that vertex order no longer follows distance from the basepoint."""
     perm = np.random.default_rng(seed).permutation(graph.n_vertices)
+    target = np.empty_like(graph.target)
+    target[perm] = np.where(graph.target >= 0, perm[graph.target], -1)
     return sg.LabeledGraph(
-        graph.n_vertices,
         graph.generators,
         graph.gen_names,
         graph.inverse_of,
-        perm[graph.edge_src],
-        perm[graph.edge_dst],
-        graph.edge_gen,
-        perm[graph.stub_src],
-        graph.stub_gen,
+        target,
         basepoint=int(perm[graph.basepoint]),
     )
 

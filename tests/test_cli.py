@@ -10,9 +10,11 @@ import tracemalloc
 import pytest
 
 import sgaplab as sg
-from sgaplab import cli, markov_core
+from sgaplab import cheeger, cli, markov_core
 from sgaplab.errors import ConvergenceError
 from sgaplab.walk_models import tree_ball_size
+
+from conftest import complete_graph_chain
 
 
 def run_cli(*argv: str):
@@ -166,6 +168,38 @@ def test_non_object_input_json_is_invalid(argv, blob, tmp_path, capsys):
     assert cli.run(argv + [str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR:invalid:")
+
+
+def _free_measure(elem=(1,), w=1.0, rank=1):
+    return {"variant": "free", "params": {"rank": rank}, "support": [{"elem": elem, "w": w}]}
+
+
+def _matz_measure(elem):
+    inverse = [[1, -2], [0, 1]]
+    return {"variant": "matz", "params": {"d": 2},
+            "support": [{"elem": elem, "w": 0.5}, {"elem": inverse, "w": 0.5}]}
+
+
+@pytest.mark.parametrize("argv, blob, message", [
+    (["cheeger", "--input"],
+     {"states": ["a", "b"], "measure": {"a": 1}, "transitions": [[0, 1, 1.0], [1, 0, 1.0]]},
+     "'measure' list of numbers"),
+    (["return-prob", "--measure-file"], _free_measure(elem=5), "element 5 must be a list"),
+    (["return-prob", "--measure-file"], _matz_measure([[1, None], [0, 1]]), "None is not an integer"),
+    (["return-prob", "--measure-file"], _free_measure(w=None), "weight None is not a number"),
+    (["return-prob", "--measure-file"], _free_measure(rank=None), "None is not an integer"),
+    (["return-prob", "--measure-file"], _free_measure(elem=[1.5]), "1.5 is not an integer"),
+    (["return-prob", "--measure-file"], _free_measure(elem=[True]), "True is not an integer"),
+    (["return-prob", "--measure-file"], _matz_measure([[1, 2.7], [0, 1]]), "2.7 is not an integer"),
+], ids=["measure-object", "elem-5", "elem-null-entry", "w-null", "rank-null", "letter-1.5", "letter-true",
+     "matz-2.7"])
+def test_malformed_input_json_is_invalid_not_a_traceback_or_truncated(argv, blob, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(blob))
+    assert cli.run(argv + [str(path), "--output", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR:invalid:") and message in err[0]
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_non_integral_transition_index_in_input_json_is_invalid(tmp_path, capsys):
@@ -372,6 +406,17 @@ def test_convergence_error_maps_to_exit_two(monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "tree-norm", explode)
     code = cli.run(["tree-norm", "--degree", "4", "--depth", "2"])
     assert code == 2
+
+
+def test_cheeger_exact_drift_is_a_convergence_error(monkeypatch, tmp_path, capsys):
+    # a recomputed cut that disagrees with the enumeration is reported, typed
+    path = tmp_path / "chain.json"
+    path.write_text(sg.chain_to_json(complete_graph_chain(3)))
+    monkeypatch.setattr(cheeger, "cut_ratio", lambda chain, subset: 0.25)
+    assert cli.run(["cheeger", "--input", str(path), "--exact"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR:converge:cheeger_exact: ")
+    assert "subset (0,)" in err[0] and "0.25 recomputed" in err[0] and "1.5 enumerated" in err[0]
 
 
 def test_tree_norm_depth_12_in_stated_range():

@@ -433,16 +433,12 @@ def test_closure_of_elementary_generators_is_all_of_sl2(p):
 def test_explore_orbit_points_edges_and_stubs(monkeypatch):
     # the integers under x -> x + 1 and x -> x - 1, kept inside |x| <= 2
     moves = [lambda x: x + 1, lambda x: x - 1]
-    points, edges, stubs = ga.explore_orbit(0, moves, inside=lambda x, depth: abs(x) <= 2)
+    points, target = ga.explore_orbit(0, moves, inside=lambda x, depth: abs(x) <= 2)
     assert points == [0, 1, -1, 2, -2]
-    assert edges == (
-        [0, 0, 1, 1, 2, 2, 3, 4],
-        [1, 2, 3, 0, 0, 4, 1, 2],
-        [0, 1, 0, 1, 0, 1, 1, 0],
-    )
-    assert stubs == ([3, 4], [0, 1])
-    points, _edges, stubs = ga.explore_orbit(0, moves, inside=lambda x, depth: depth <= 1)
-    assert points == [0, 1, -1] and stubs == ([1, 2], [0, 1])
+    # rows (x + 1, x - 1) per point; the two moves out of |x| <= 2 are stubs
+    assert target == [1, 2, 3, 0, 0, 4, -1, 1, 2, -1]
+    points, target = ga.explore_orbit(0, moves, inside=lambda x, depth: depth <= 1)
+    assert points == [0, 1, -1] and target == [1, 2, -1, 0, 0, -1]
     monkeypatch.setattr(ga, "ORBIT_BUDGET", 4)
     with pytest.raises(BudgetExceededError):
         ga.explore_orbit(0, moves)

@@ -192,9 +192,8 @@ def _cycle_graph(n: int):
     words = [sg.free_word(1, [1]), sg.free_word(1, [-1])]
     step = np.arange(n)
     graph = sg.LabeledGraph(
-        n, words, [str(w) for w in words], [1, 0],
-        np.concatenate([step, step]), np.concatenate([(step + 1) % n, (step - 1) % n]),
-        np.repeat([0, 1], n), basepoint=0,
+        words, [str(w) for w in words], [1, 0],
+        np.column_stack([(step + 1) % n, (step - 1) % n]), basepoint=0,
     )
     return graph, sg.ProbMeasure.uniform(words)
 
@@ -230,18 +229,14 @@ def _symmetric_graphs(draw):
     symmetric measure on the 2k generators."""
     n = draw(st.one_of(st.integers(2, 40), st.integers(markov_core.DENSE_LIMIT + 1, 900)))
     k = draw(st.integers(1, 3))
-    src, dst, gen = [], [], []
-    for i in range(k):
+    columns = []
+    for _ in range(k):
         perm = np.array(draw(st.permutations(range(n))))
-        for g, image in ((2 * i, perm), (2 * i + 1, np.argsort(perm))):
-            src.append(np.arange(n))
-            dst.append(image)
-            gen.append(np.full(n, g))
+        columns += [perm, np.argsort(perm)]
     words = [sg.free_word(k, [s]) for i in range(1, k + 1) for s in (i, -i)]
     graph = sg.LabeledGraph(
-        n, words, [str(w) for w in words], [g ^ 1 for g in range(2 * k)],
-        np.concatenate(src), np.concatenate(dst), np.concatenate(gen),
-        basepoint=draw(st.integers(0, n - 1)),
+        words, [str(w) for w in words], [g ^ 1 for g in range(2 * k)],
+        np.column_stack(columns), basepoint=draw(st.integers(0, n - 1)),
     )
     w = [draw(st.floats(0.1, 1.0)) for _ in range(k)]
     total = 2.0 * sum(w)
@@ -324,12 +319,12 @@ def _word_set_orbit(rank, config, radius):
     the graph path that the radial reduction replaced, kept as its oracle."""
     gens = ga.free_generators(rank)
     moves = [lambda c, g=g: frozenset(ga.mul(g, w) for w in c) for g in gens]
-    points, edges, stubs = ga.explore_orbit(
+    points, target = ga.explore_orbit(
         frozenset(config), moves, inside=lambda _c, depth: depth <= radius
     )
     return sg.LabeledGraph(
-        len(points), gens, [ga.element_label(g) for g in gens], [i ^ 1 for i in range(2 * rank)],
-        *edges, *stubs,
+        gens, [ga.element_label(g) for g in gens], [i ^ 1 for i in range(2 * rank)],
+        np.reshape(target, (len(points), len(gens))),
     )
 
 

@@ -6,6 +6,8 @@ import pytest
 
 import sgaplab as sg
 from sgaplab import expanders as ex
+from sgaplab import group_algebra as ga
+from sgaplab import walk_models as wm
 from sgaplab.errors import BudgetExceededError
 from sgaplab.walk_models import (
     LabeledGraph,
@@ -304,6 +306,69 @@ def test_tree_label_of_large_tree_falls_back_to_index():
 
 
 # ---------------------------------------------------------------------------
+# the action table and its validation
+# ---------------------------------------------------------------------------
+
+# the 3-cycle under a = +1 and A = -1
+CYCLE3 = [[1, 2], [2, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("inverse_of, target, basepoint, message", [
+    ([0, 0], CYCLE3, 0, "inverse_of must be a permutation of the generators"),
+    ([1, 2, 0], [[0, 0, 0]], 0, "inverse_of must be an involution"),
+    ([1, 0], [[0, 0, 0]], 0, "target must have one column per generator"),
+    ([1, 0], np.zeros((0, 2)), 0, "graph needs at least one vertex"),
+    ([1, 0], CYCLE3, 3, "basepoint out of range"),
+    ([1, 0], CYCLE3, -1, "basepoint out of range"),
+    ([1, 0], [[1, 2], [2, 0], [0, 3]], 0, r"target entries must lie in \[-1, 3\)"),
+    ([1, 0], [[1, 2], [2, 0], [0, -2]], 0, r"target entries must lie in \[-1, 3\)"),
+    ([1, 0], [[1, 2], [2, 0], [-1, 1]], 0, r"^edge \(0 -> 2, gen 1\) has no inverse edge$"),
+    ([1, 0], [[1, 2], [2, 0], [1, 1]], 0,
+     r"^inverse edge of \(0 -> 2\) lands on 1, not back on the source$"),
+])
+def test_validation_rejects_malformed_tables(inverse_of, target, basepoint, message):
+    k = len(inverse_of)
+    with pytest.raises(ValueError, match=message):
+        LabeledGraph(range(k), [f"s{g}" for g in range(k)], inverse_of, target, basepoint=basepoint)
+
+
+@pytest.mark.parametrize("build, act", [
+    (lambda: sg.build_torus_schreier(sg.sanov_generators(), (1, 0), 12),
+     lambda g, x: tuple(np.array(dual_action_matrix(g)) @ np.array(x))),
+    (lambda: ex.build_member_graph(2, 5), ga.mul),
+], ids=["torus r=12", "cayley SL2(F5)"])
+def test_explorer_list_is_the_graph_table(build, act, monkeypatch):
+    found = []
+
+    def spy(*args, **kwargs):
+        found.append(ga.explore_orbit(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(wm, "explore_orbit", spy)
+    graph = build()
+    [(points, target)] = found
+    assert graph.target.shape == (len(points), graph.n_generators)
+    assert graph.target.ravel().tolist() == target
+    index = {x: i for i, x in enumerate(points)}
+    for v, row in enumerate(graph.target.tolist()):
+        assert row == [index.get(act(g, points[v]), -1) for g in graph.generators]
+
+
+def test_table_and_derived_views_are_read_only_and_in_slot_order():
+    graph = sg.build_tree(3, 3)
+    k = graph.n_generators
+    for name in ("target", "edge_src", "edge_dst", "edge_gen", "stub_src", "stub_gen"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(graph, name)[0] = 0
+    edge_slots = graph.edge_src * k + graph.edge_gen
+    stub_slots = graph.stub_src * k + graph.stub_gen
+    assert np.all(np.diff(edge_slots) > 0) and np.all(np.diff(stub_slots) > 0)
+    assert np.array_equal(np.sort(np.concatenate([edge_slots, stub_slots])), np.arange(graph.n_vertices * k))
+    assert np.array_equal(graph.target[graph.edge_src, graph.edge_gen], graph.edge_dst)
+    assert np.all(graph.target[graph.stub_src, graph.stub_gen] == -1)
+
+
+# ---------------------------------------------------------------------------
 # distances from the basepoint
 # ---------------------------------------------------------------------------
 
@@ -311,12 +376,7 @@ def test_tree_label_of_large_tree_falls_back_to_index():
 def test_distances_survive_many_parallel_edges(parallel):
     # `parallel` self-inverse generators all join vertex 0 to vertex 1
     gens = list(range(parallel))
-    graph = LabeledGraph(
-        2, gens, [f"s{g}" for g in gens], gens,
-        edge_src=[0] * parallel + [1] * parallel,
-        edge_dst=[1] * parallel + [0] * parallel,
-        edge_gen=gens + gens,
-    )
+    graph = LabeledGraph(gens, [f"s{g}" for g in gens], gens, [[1] * parallel, [0] * parallel])
     assert graph.distances_from_basepoint.tolist() == [0, 1]
 
 
