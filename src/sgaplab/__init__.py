@@ -10,9 +10,12 @@ exponent bounds at desk scale.
 # loads, so the cap goes in before any submodule imports it.
 import os as _os
 
-if _os.environ.get("SGAP_THREADS"):
+_cap = _os.environ.get("SGAP_THREADS", "").strip()
+if _cap.isdecimal() and int(_cap) > 0:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["SGAP_THREADS"])
+        _set = _os.environ.get(_var, "").strip()
+        if not (_set.isdecimal() and 0 < int(_set) <= int(_cap)):
+            _os.environ[_var] = _cap
 
 from .errors import (
     BudgetExceededError,

@@ -231,13 +231,6 @@ def family_key(g: GroupElement) -> tuple:
     raise TypeError(f"not a group element: {g!r}")
 
 
-def _require_same_family(a: GroupElement, b: GroupElement) -> None:
-    if family_key(a) != family_key(b):
-        raise VariantMismatchError(
-            f"cannot combine elements of {family_key(a)} and {family_key(b)}"
-        )
-
-
 def identity_like(g: GroupElement) -> GroupElement:
     if isinstance(g, FreeWord):
         return FreeWord(g.rank, ())
@@ -253,27 +246,25 @@ def is_identity(g: GroupElement) -> bool:
 
 
 def _mat_mul_rows(a, b, mod: int | None = None):
-    d = len(a)
+    """Product of square matrices given as row tuples, mod `mod` if given."""
+    cols = list(zip(*b))
     if mod is None:
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-            for i in range(d)
-        )
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) % mod for j in range(d))
-        for i in range(d)
-    )
+        return tuple([tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a])
+    return tuple([tuple([sum(map(operator.mul, row, col)) % mod for col in cols]) for row in a])
 
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product.  Free words come back reduced; matrix products keep
-    their modulus / unimodularity automatically."""
-    _require_same_family(a, b)
-    if isinstance(a, FreeWord):
-        return FreeWord(a.rank, _reduce_letters(a.letters + b.letters))
-    if isinstance(a, MatModP):
+    their modulus / unimodularity automatically.  Elements of different
+    families raise VariantMismatchError; `family_key` raises TypeError first
+    for anything that is not a group element."""
+    if isinstance(a, MatModP) and isinstance(b, MatModP) and a.p == b.p and len(a.entries) == len(b.entries):
         return MatModP(a.p, _mat_mul_rows(a.entries, b.entries, a.p))
-    return MatZ(_mat_mul_rows(a.entries, b.entries))
+    if isinstance(a, MatZ) and isinstance(b, MatZ) and len(a.entries) == len(b.entries):
+        return MatZ(_mat_mul_rows(a.entries, b.entries))
+    if isinstance(a, FreeWord) and isinstance(b, FreeWord) and a.rank == b.rank:
+        return FreeWord(a.rank, _reduce_letters(a.letters + b.letters))
+    raise VariantMismatchError(f"cannot combine elements of {family_key(a)} and {family_key(b)}")
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -725,7 +716,7 @@ def special_linear_order(d: int, p: int) -> int:
     return order
 
 
-def explore_orbit(base, moves, inside=None):
+def explore_orbit(base, moves, inverse_of, inside=None):
     """Breadth-first orbit of the hashable point `base` under the maps `moves`.
 
     Returns (points, target): the points in discovery order, so their
@@ -735,21 +726,29 @@ def explore_orbit(base, moves, inside=None):
     move to a new point that fails `inside(point, depth)`, depth being that
     point's distance from `base`.  Raises BudgetExceededError once more than
     ORBIT_BUDGET points are found.
+
+    Move inverse_of[k] undoes move k, and the caller must make it the exact
+    inverse map.  An edge found from v to w = moves[k](v) also fills its
+    inverse slot, entry (w, inverse_of[k]) = v; a slot whose inverse edge is
+    known is read, not computed, so each edge pair costs one move and each
+    stub one, and the result is what computing every slot would give.
     """
+    k = len(moves)
     index = {base: 0}
     points = [base]
     depth = [0]
-    target: list[int] = []
-    head = 0
-    while head < len(points):
-        v = points[head]
+    target = [None] * k
+    for head, v in enumerate(points):  # points grows while the loop reads it
         d = depth[head] + 1
-        for move in moves:
+        row = head * k
+        for j, (move, back) in enumerate(zip(moves, inverse_of)):
+            if target[row + j] is not None:
+                continue
             w = move(v)
             iw = index.get(w)
             if iw is None:
                 if inside is not None and not inside(w, d):
-                    target.append(-1)
+                    target[row + j] = -1
                     continue
                 iw = len(points)
                 if iw >= ORBIT_BUDGET:
@@ -757,8 +756,9 @@ def explore_orbit(base, moves, inside=None):
                 index[w] = iw
                 points.append(w)
                 depth.append(d)
-            target.append(iw)
-        head += 1
+                target += [None] * k
+            target[row + j] = iw
+            target[iw * k + back] = head
     return points, target
 
 
@@ -766,9 +766,10 @@ def group_closure(generators: Sequence[GroupElement]) -> set[GroupElement]:
     """Subgroup generated by the given elements, via breadth-first closure."""
     if not generators:
         raise ValueError("need at least one generator")
+    n = len(generators)
     gens = list(generators) + [inverse(g) for g in generators]
     moves = [partial(mul, g) for g in gens]
-    points, _target = explore_orbit(identity_like(gens[0]), moves)
+    points, _target = explore_orbit(identity_like(gens[0]), moves, [*range(n, 2 * n), *range(n)])
     return set(points)
 
 

@@ -87,7 +87,7 @@ class WeightedChain:
         src = t[:, 0].astype(np.int64)
         dst = t[:, 1].astype(np.int64)
         prob = np.ascontiguousarray(t[:, 2])
-        if np.unique(src * n + dst).size != src.size:
+        if np.any(np.diff(np.sort(src * n + dst)) == 0):
             raise ValueError("duplicate (i, j) transition")
         row_sum = np.bincount(src, weights=prob, minlength=n)
         if row_mode == "stochastic":

@@ -11,10 +11,12 @@ compressions of the ambient operator stay genuine subspace restrictions.
 
 Cayley and torus Schreier graphs are orbits of a group action, and one
 enumeration builds them: `group_algebra.explore_orbit`, given the action of
-each generator as a move and, for truncated orbits, the rule that keeps a
-point inside, writes the table row by row.  It numbers vertices in
-breadth-first order, so distance from the basepoint never decreases along
-the vertex index; `build_tree` fills its table in the same order.
+each generator as a move, the generators' inverse pairing and, for truncated
+orbits, the rule that keeps a point inside, writes the table row by row.  An
+edge it finds fills its inverse slot too, so each edge pair costs one action.
+It numbers vertices in breadth-first order, so distance from the basepoint
+never decreases along the vertex index; `build_tree` fills its table in the
+same order.
 Configuration-shift orbits need no enumeration: the free group acts freely
 on them, so their balls are tree balls.
 """
@@ -22,6 +24,7 @@ on them, so their balls are tree balls.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, Sequence
@@ -344,10 +347,12 @@ def _check_inverse_closed(generators: Sequence[GroupElement]) -> list[int]:
     return assigned
 
 
-def _orbit_graph(generators, inverse_of, orbit, label) -> LabeledGraph:
-    """The labeled graph of an `explore_orbit` result; vertex i is the i-th
-    point found, labeled by `label(point)`."""
-    points, target = orbit
+def _orbit_graph(generators, moves, base, label, inside=None) -> LabeledGraph:
+    """The orbit of `base` under `moves`, the action of each generator, as
+    `explore_orbit` finds it; vertex i is the i-th point found, labeled by
+    `label(point)`."""
+    inverse_of = _check_inverse_closed(generators)
+    points, target = explore_orbit(base, moves, inverse_of, inside)
     return LabeledGraph(
         generators,
         [element_label(g) for g in generators],
@@ -364,15 +369,11 @@ def build_cayley(
     enumeration from the identity.  Edges act by left multiplication."""
     if not generators:
         raise ValueError("need at least one generator")
-    inverse_of = _check_inverse_closed(generators)
     moves = [partial(mul, g) for g in generators]
-    orbit = explore_orbit(identity_like(generators[0]), moves)
-    order = len(orbit[0])
-    if expect_order is not None and order != expect_order:
-        raise ValueError(
-            f"generators produced a group of order {order}, expected {expect_order}"
-        )
-    return _orbit_graph(generators, inverse_of, orbit, element_label)
+    graph = _orbit_graph(generators, moves, identity_like(generators[0]), element_label)
+    if expect_order is not None and graph.n_vertices != expect_order:
+        raise ValueError(f"generators produced a group of order {graph.n_vertices}, expected {expect_order}")
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +382,11 @@ def build_cayley(
 
 def dual_action_matrix(g: MatZ) -> tuple[tuple[int, ...], ...]:
     """The matrix of the dual action v -> (g^t)^-1 v, exact over the integers."""
-    d = g.dim
-    transpose = tuple(tuple(g.entries[j][i] for j in range(d)) for i in range(d))
-    return inverse(MatZ(transpose)).entries
+    return inverse(MatZ(tuple(zip(*g.entries)))).entries
 
 
 def _apply_rows(rows, vec: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(r[j] * vec[j] for j in range(len(vec))) for r in rows)
+    return tuple([sum(map(operator.mul, row, vec)) for row in rows])
 
 
 def build_torus_schreier(
@@ -412,12 +411,8 @@ def build_torus_schreier(
                 f"basepoint {base} has {len(base)} coordinates, but generator "
                 f"{element_label(g)} acts on dimension {g.dim}"
             )
-    inverse_of = _check_inverse_closed(generators)
     moves = [partial(_apply_rows, dual_action_matrix(g)) for g in generators]
-    orbit = explore_orbit(
-        base, moves, inside=lambda w, _depth: max(abs(x) for x in w) <= radius
-    )
-    return _orbit_graph(generators, inverse_of, orbit, str)
+    return _orbit_graph(generators, moves, base, str, inside=lambda w, _depth: max(abs(x) for x in w) <= radius)
 
 
 def sanov_generators() -> list[MatZ]:

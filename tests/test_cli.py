@@ -453,16 +453,20 @@ def test_return_prob_csv_roots_are_plain_floats(tmp_path):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_sgap_threads_caps_blas_threads():
-    env = dict(os.environ, SGAP_THREADS="1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env.pop(var, None)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import os, sgaplab; print(len(os.listdir('/proc/self/task')))"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "1"
+    # the per-library variables unset, then preset above the cap
+    for preset in (None, "2"):
+        env = dict(os.environ, SGAP_THREADS="1")
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+            if preset is not None:
+                env[var] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import os, sgaplab, numpy; print(len(os.listdir('/proc/self/task')))"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1", f"preset {preset}"
 
 
 def test_run_config_echoed_in_header():

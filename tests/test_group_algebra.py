@@ -102,6 +102,19 @@ def test_variant_mismatch_raises():
         sg.mul(sg.free_word(2, [1]), sg.free_word(3, [1]))
     with pytest.raises(VariantMismatchError):
         sg.mul(sg.mat_mod_p(3, [[1, 0], [0, 1]]), sg.mat_mod_p(5, [[1, 0], [0, 1]]))
+    eye2, eye3 = [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for a, b in [
+        (sg.mat_mod_p(3, eye2), sg.mat_mod_p(3, eye3)),
+        (sg.mat_mod_p(3, eye2), sg.mat_z(eye2)),
+        (sg.mat_z(eye2), sg.mat_mod_p(3, eye2)),
+        (sg.mat_z(eye2), sg.mat_z(eye3)),
+        (sg.free_word(2, [1]), sg.mat_z(eye2)),
+    ]:
+        with pytest.raises(VariantMismatchError, match="cannot combine elements of"):
+            sg.mul(a, b)
+    for a, b in [(sg.mat_z(eye2), eye2), (eye2, sg.mat_z(eye2)), (eye2, eye2)]:
+        with pytest.raises(TypeError, match=re.escape(f"not a group element: {eye2!r}")):
+            sg.mul(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +446,15 @@ def test_closure_of_elementary_generators_is_all_of_sl2(p):
 def test_explore_orbit_points_edges_and_stubs(monkeypatch):
     # the integers under x -> x + 1 and x -> x - 1, kept inside |x| <= 2
     moves = [lambda x: x + 1, lambda x: x - 1]
-    points, target = ga.explore_orbit(0, moves, inside=lambda x, depth: abs(x) <= 2)
+    points, target = ga.explore_orbit(0, moves, [1, 0], inside=lambda x, depth: abs(x) <= 2)
     assert points == [0, 1, -1, 2, -2]
     # rows (x + 1, x - 1) per point; the two moves out of |x| <= 2 are stubs
     assert target == [1, 2, 3, 0, 0, 4, -1, 1, 2, -1]
-    points, target = ga.explore_orbit(0, moves, inside=lambda x, depth: depth <= 1)
+    points, target = ga.explore_orbit(0, moves, [1, 0], inside=lambda x, depth: depth <= 1)
     assert points == [0, 1, -1] and target == [1, 2, -1, 0, 0, -1]
     monkeypatch.setattr(ga, "ORBIT_BUDGET", 4)
     with pytest.raises(BudgetExceededError):
-        ga.explore_orbit(0, moves)
+        ga.explore_orbit(0, moves, [1, 0])
 
 
 def test_adapted_rejects_trivial_support():

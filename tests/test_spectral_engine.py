@@ -319,11 +319,12 @@ def _word_set_orbit(rank, config, radius):
     the graph path that the radial reduction replaced, kept as its oracle."""
     gens = ga.free_generators(rank)
     moves = [lambda c, g=g: frozenset(ga.mul(g, w) for w in c) for g in gens]
+    inverse_of = [i ^ 1 for i in range(2 * rank)]
     points, target = ga.explore_orbit(
-        frozenset(config), moves, inside=lambda _c, depth: depth <= radius
+        frozenset(config), moves, inverse_of, inside=lambda _c, depth: depth <= radius
     )
     return sg.LabeledGraph(
-        gens, [ga.element_label(g) for g in gens], [i ^ 1 for i in range(2 * rank)],
+        gens, [ga.element_label(g) for g in gens], inverse_of,
         np.reshape(target, (len(points), len(gens))),
     )
 

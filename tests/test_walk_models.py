@@ -332,21 +332,30 @@ def test_validation_rejects_malformed_tables(inverse_of, target, basepoint, mess
         LabeledGraph(range(k), [f"s{g}" for g in range(k)], inverse_of, target, basepoint=basepoint)
 
 
-@pytest.mark.parametrize("build, act", [
+@pytest.mark.parametrize("build, act, moves", [
     (lambda: sg.build_torus_schreier(sg.sanov_generators(), (1, 0), 12),
-     lambda g, x: tuple(np.array(dual_action_matrix(g)) @ np.array(x))),
-    (lambda: ex.build_member_graph(2, 5), ga.mul),
+     lambda g, x: tuple(np.array(dual_action_matrix(g)) @ np.array(x)), 189),
+    (lambda: ex.build_member_graph(2, 5), ga.mul, 240),
 ], ids=["torus r=12", "cayley SL2(F5)"])
-def test_explorer_list_is_the_graph_table(build, act, monkeypatch):
+def test_explorer_list_is_the_graph_table(build, act, moves, monkeypatch):
     found = []
+    calls = []
 
-    def spy(*args, **kwargs):
-        found.append(ga.explore_orbit(*args, **kwargs))
+    def counted(move):
+        def call(x):
+            calls.append(x)
+            return move(x)
+        return call
+
+    def spy(base, moves, *args, **kwargs):
+        found.append(ga.explore_orbit(base, [counted(m) for m in moves], *args, **kwargs))
         return found[-1]
 
     monkeypatch.setattr(wm, "explore_orbit", spy)
     graph = build()
     [(points, target)] = found
+    # one move per edge pair, its inverse slot filled from it, and one per stub
+    assert len(calls) == graph.edge_src.size // 2 + graph.stub_src.size == moves
     assert graph.target.shape == (len(points), graph.n_generators)
     assert graph.target.ravel().tolist() == target
     index = {x: i for i, x in enumerate(points)}
