@@ -401,7 +401,7 @@ def build_torus_schreier(
     base = tuple(int(x) for x in basepoint)
     if all(x == 0 for x in base):
         raise ValueError("basepoint must be a non-zero integer vector")
-    if max(abs(x) for x in base) > radius:
+    if max(map(abs, base)) > radius:
         raise ValueError(
             f"basepoint {base} lies outside the sup-norm ball of radius {radius}"
         )
@@ -412,7 +412,7 @@ def build_torus_schreier(
                 f"{element_label(g)} acts on dimension {g.dim}"
             )
     moves = [partial(_apply_rows, dual_action_matrix(g)) for g in generators]
-    return _orbit_graph(generators, moves, base, str, inside=lambda w, _depth: max(abs(x) for x in w) <= radius)
+    return _orbit_graph(generators, moves, base, str, inside=lambda w, _depth: max(map(abs, w)) <= radius)
 
 
 def sanov_generators() -> list[MatZ]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,24 @@ def relabel(graph: sg.LabeledGraph, seed: int) -> sg.LabeledGraph:
         target,
         basepoint=int(perm[graph.basepoint]),
     )
+
+
+@contextlib.contextmanager
+def tilted_eigh(rows: int):
+    """np.linalg.eigh with the eigenvectors of every batched rows-square
+    piece tilted by 1e-6, as an unconverged solve would return them."""
+    eigh = np.linalg.eigh
+
+    def tilted(a, *args, **kwargs):
+        theta, vecs = eigh(a, *args, **kwargs)
+        if a.ndim == 3 and a.shape[-1] == rows:
+            vecs = vecs + 1e-6 * np.cos(np.arange(rows))[:, None]
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        return theta, vecs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", tilted)
+        yield
 
 
 @pytest.fixture

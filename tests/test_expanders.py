@@ -11,7 +11,9 @@ import sgaplab as sg
 from sgaplab import cli
 from sgaplab import markov_core
 from sgaplab.errors import BudgetExceededError, ConvergenceError
-from sgaplab.expanders import MemberRecord, _point_moves, build_member_graph, u_block
+from sgaplab.expanders import MemberRecord, _point_moves, _sl2_pieces, build_member_graph, u_block
+
+from conftest import tilted_eigh
 
 
 def test_member_graph_orders_and_regularity():
@@ -85,7 +87,7 @@ def test_certificate_serialization(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the U-block reduction of SL_2(F_p), p odd
+# SL_2(F_p), p odd: the U-blocks, the reference, and the irreducible pieces
 # ---------------------------------------------------------------------------
 
 def _block_spectrum(p, k):
@@ -95,12 +97,33 @@ def _block_spectrum(p, k):
     return theta[0::2]
 
 
+def _pieces_spectrum(p):
+    """The spectra of the pieces, one per irreducible representation, each
+    eigenvalue repeated dim pi times: P_0 holds the trivial representation and
+    the Steinberg one (dim p); P_(p-1)/2 and M_(p+1)/2 each hold two halves,
+    of dim (p + 1) / 2 and (p - 1) / 2."""
+    principal, cuspidal = _sl2_pieces(p)
+    half = (p + 1) // 2
+    out = []
+    for j, theta in enumerate(np.linalg.eigvalsh(principal(np.arange(half)))):
+        if j == 0:
+            out += [theta[-1:], np.repeat(theta[:-1], p)]
+        else:
+            out.append(np.repeat(theta, half if 2 * j == p - 1 else p + 1))
+    for j, theta in enumerate(np.linalg.eigvalsh(cuspidal(np.arange(1, half + 1))), start=1):
+        out.append(np.repeat(theta, half - 1 if j == half else p - 1))
+    return np.sort(np.concatenate(out))
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_union_of_all_blocks_is_the_cayley_spectrum(p):
     blocks = np.sort(np.concatenate([_block_spectrum(p, k) for k in range(p)]))
     theta, _ = sg.chain_spectrum(sg.graph_to_simple_walk_chain(build_member_graph(2, p)))
     assert blocks.size == sg.special_linear_order(2, p)
     assert np.max(np.abs(blocks - np.sort(theta))) <= 1e-12
+    pieces = _pieces_spectrum(p)
+    assert pieces.size == sg.special_linear_order(2, p)
+    assert np.max(np.abs(pieces - np.sort(theta))) <= 1e-12
 
 
 def test_blocks_k_and_k_times_a_square_are_isospectral():
@@ -111,6 +134,12 @@ def test_blocks_k_and_k_times_a_square_are_isospectral():
             assert np.max(np.abs(spectra[k] - spectra[k * a * a % p])) <= 1e-12
     # the residues and the non-residues are the two classes, and they differ
     assert np.max(np.abs(spectra[1] - spectra[2])) > 1e-3
+    # the pieces of chi_j and chi_-j, and of nu_j and nu_-j, are isospectral
+    principal, cuspidal = _sl2_pieces(p)
+    for build, order in ((principal, p - 1), (cuspidal, p + 1)):
+        theta = np.linalg.eigvalsh(build(np.arange(order)))
+        assert np.max(np.abs(theta - theta[-np.arange(order)])) <= 1e-12
+        assert np.max(np.abs(theta[1] - theta[2])) > 1e-3
 
 
 def test_blocks_are_exactly_symmetric_and_block_zero_is_stochastic():
@@ -132,10 +161,14 @@ def test_block_family_matches_the_graph_path():
         chain = sg.graph_to_simple_walk_chain(build_member_graph(2, rec.prime))
         lam = sg.lambda1(chain).estimate
         norm = sg.operator_norm_l20(chain).estimate
-        assert rec.method == "u-blocks"
+        assert rec.method == "irreps"
         assert rec.order == chain.n and rec.degree == 4 and rec.h_exact is None
         assert abs(rec.lambda_1 - lam) <= 1e-12 * lam
         assert abs(rec.norm_l20 - norm) <= 1e-12 * norm
+    closed_forms = {3: (3 - np.sqrt(3)) / 4, 5: (3 - np.sqrt(5)) / 4, 7: (2 - np.sqrt(2)) / 4,
+                    11: (3 - np.sqrt(5)) / 8}
+    for rec in cert.members[:4]:
+        assert abs(rec.lambda_1 - closed_forms[rec.prime]) <= 1e-14
 
 
 def _schreier_chain_route(p):
@@ -160,7 +193,9 @@ def _schreier_chain_route(p):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_block_zero_matches_the_schreier_chain(p):
     (rec,) = sg.build_family(2, [p]).members
-    assert (rec.lambda_1, rec.norm_l20) == _schreier_chain_route(p)
+    lam, norm = _schreier_chain_route(p)
+    assert abs(rec.lambda_1 - lam) <= 1e-12 * lam
+    assert abs(rec.norm_l20 - norm) <= 1e-12 * norm
 
 
 def test_block_path_budget_and_moduli():
@@ -171,17 +206,10 @@ def test_block_path_budget_and_moduli():
             sg.build_family(2, [bad])
 
 
-def test_twisted_block_residual_failure_names_stage_block_and_size(monkeypatch):
-    eigsh = markov_core.spla.eigsh
-
-    def tilted_on_twisted_blocks(op, **kwargs):
-        theta, vecs = eigsh(op, **kwargs)
-        if op.shape[0] == 1056:  # 2 (23^2 - 1): a twisted block, not block 0
-            vecs = vecs + 1e-6
-        return theta, vecs
-
-    monkeypatch.setattr(markov_core.spla, "eigsh", tilted_on_twisted_blocks)
-    with pytest.raises(ConvergenceError, match=r"u-block k=1 of SL_2\(F_23\) \(1056 rows\)"):
+def test_twisted_block_residual_failure_names_stage_block_and_size():
+    # 22 = 23 - 1 rows: the cuspidal pieces, not the principal series
+    with tilted_eigh(22), pytest.raises(ConvergenceError,
+                                        match=r"expanders: cuspidal piece j=1 of SL_2\(F_23\) \(22 rows\)"):
         sg.build_family(2, [23])
 
 
@@ -189,7 +217,7 @@ def test_expanders_cli_routes_p2_through_the_graph(capsys):
     assert cli.run(["expanders", "--n", "2", "--primes", "2,3", "--no-timestamp"]) == 0
     members = json.loads(capsys.readouterr().out)["result"]["members"]
     assert [(m["prime"], m["order"], m["method"]) for m in members] == [
-        (2, 6, "dense"), (3, 24, "u-blocks"),
+        (2, 6, "dense"), (3, 24, "irreps"),
     ]
     assert members[0]["h_exact"] is not None and members[1]["h_exact"] is None
 
@@ -197,6 +225,6 @@ def test_expanders_cli_routes_p2_through_the_graph(capsys):
 def test_expanders_cli_p97(capsys):
     assert cli.run(["expanders", "--n", "2", "--primes", "97", "--no-timestamp"]) == 0
     (member,) = json.loads(capsys.readouterr().out)["result"]["members"]
-    assert member["order"] == 97 * (97 * 97 - 1) and member["method"] == "u-blocks"
+    assert member["order"] == 97 * (97 * 97 - 1) and member["method"] == "irreps"
     assert 0.0 < member["gap_bound"] <= member["lambda_1"]
     assert member["lambda_1"] == pytest.approx(0.0342577608, abs=1e-10)

@@ -1,7 +1,7 @@
 """sha256 of every seeded benchmark output, to check that a change keeps them
 byte-identical.
 
-    PYTHONHASHSEED=0 python3 tools/output_digest.py --seed 3 [--workdir .output_digest]
+    PYTHONHASHSEED=0 python3 tools/output_digest.py --seed 3 [--workdir .output_digest] [--diff FILE]
 
 Run from the root of a checkout, with the hash seed and the BLAS/OpenMP
 thread counts that perfbench/run.py pins for its workers.  It builds the
@@ -11,6 +11,9 @@ and runs every job in-process through `sgaplab.cli.run`, once each with
 output it prints one line, the sha256 of the exit code and the bytes
 written (a missing file hashes as such), then a total over all lines.  Two
 checkouts agree when their totals do; a differing line names the job.
+With `--diff FILE`, FILE a listing this tool printed earlier, it also
+prints the job argv of every output whose hash differs from FILE's, after
+the listing, and exits 1 if any does.
 
 The work directory is relative and fixed, not temporary: a cheeger job's
 `--input` path is echoed in its json header, so the inputs must sit at the
@@ -57,7 +60,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--workdir", default=".output_digest",
                         help="emptied and reused; keep it the same in both checkouts")
+    parser.add_argument("--diff", metavar="FILE",
+                        help="a listing printed earlier: name the jobs whose outputs differ from it")
     args = parser.parse_args(argv)
+    before = None
+    if args.diff:
+        with open(args.diff) as fh:
+            before = dict(reversed(line.split(None, 1)) for line in fh.read().splitlines() if line.strip())
     if os.environ.get("PYTHONHASHSEED") != PINNED["PYTHONHASHSEED"]:
         parser.error(f"run with PYTHONHASHSEED={PINNED['PYTHONHASHSEED']}, as the benchmark workers do")
     os.environ.update(PINNED)  # before numpy loads and sizes its thread pools
@@ -66,6 +75,7 @@ def main(argv: list[str] | None = None) -> int:
 
     shutil.rmtree(args.workdir, ignore_errors=True)
     total = hashlib.sha256()
+    differ = []
     for workload in WORKLOADS:
         jobdir = os.path.join(args.workdir, workload)
         os.makedirs(jobdir)
@@ -74,11 +84,16 @@ def main(argv: list[str] | None = None) -> int:
                 out = os.path.join(jobdir, f"out{index:03d}.{fmt}")
                 # a later --format overrides one already in the job's argv
                 digest = output_digest(cli, [*job.argv, "--format", fmt, "--no-timestamp"], out)
-                line = f"{digest}  {workload}/{index:03d}.{fmt}"
+                name = f"{workload}/{index:03d}.{fmt}"
+                line = f"{digest}  {name}"
                 total.update(line.encode() + b"\n")
                 print(line, flush=True)
+                if before is not None and before.get(name) != digest:
+                    differ.append(f"differs: {name}  {' '.join(job.argv)}")
     print(f"{total.hexdigest()}  total")
-    return 0
+    for line in differ:
+        print(line)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
